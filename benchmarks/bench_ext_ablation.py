@@ -1,16 +1,18 @@
 """EXT-A1 — ablations of the XML-GL matcher's design choices.
 
-Toggles the two optimisations DESIGN.md calls out — the label index and
-the selectivity planner — on a multi-box query and checks both the result
-invariance (all four configurations agree) and the work ordering (index
-avoids full scans; the planner reduces candidates tried on skewed
-patterns).
+Toggles the two optimisations DESIGN.md calls out — the index-backed
+engines (the ``adaptive`` default against the index-free ``naive`` engine)
+and the selectivity planner — on a multi-box query and checks both the
+result invariance (all four configurations agree) and the work ordering
+(the index avoids full scans; the planner reduces candidates tried on
+skewed patterns).
 """
 
 import pytest
 
 from repro.engine import EvalStats
-from repro.xmlgl import MatchOptions, match
+from repro.engine.options import ExecOptions
+from repro.xmlgl import match
 from repro.xmlgl.dsl import parse_rule as parse_xg
 
 RULE = parse_xg(
@@ -25,10 +27,10 @@ RULE = parse_xg(
 GRAPH = RULE.queries[0]
 
 CONFIGS = {
-    "indexed+planned": MatchOptions(use_planner=True, use_index=True),
-    "indexed": MatchOptions(use_planner=False, use_index=True),
-    "planned": MatchOptions(use_planner=True, use_index=False),
-    "baseline": MatchOptions(use_planner=False, use_index=False),
+    "adaptive+planned": ExecOptions(engine="adaptive", use_planner=True),
+    "adaptive": ExecOptions(engine="adaptive", use_planner=False),
+    "naive+planned": ExecOptions(engine="naive", use_planner=True),
+    "naive": ExecOptions(engine="naive", use_planner=False),
 }
 
 
@@ -55,10 +57,11 @@ def test_index_eliminates_full_scans(bib_doc, bib_index):
     doc = bib_doc(400)
     index = bib_index(400)
     indexed_stats = EvalStats()
-    match(GRAPH, doc, options=CONFIGS["indexed+planned"], index=index,
+    match(GRAPH, doc, options=CONFIGS["adaptive+planned"], index=index,
           stats=indexed_stats)
     scan_stats = EvalStats()
-    match(GRAPH, doc, options=CONFIGS["planned"], index=index, stats=scan_stats)
+    match(GRAPH, doc, options=CONFIGS["naive+planned"], index=index,
+          stats=scan_stats)
     assert indexed_stats.full_scans == 0
     assert scan_stats.full_scans > 0
     assert indexed_stats.index_lookups > 0
@@ -69,9 +72,9 @@ def test_planner_reduces_candidates_on_skew(bib_doc, bib_index):
     doc = bib_doc(400)
     index = bib_index(400)
     planned, unplanned = EvalStats(), EvalStats()
-    match(GRAPH, doc, options=CONFIGS["indexed+planned"], index=index,
+    match(GRAPH, doc, options=CONFIGS["adaptive+planned"], index=index,
           stats=planned)
-    match(GRAPH, doc, options=CONFIGS["indexed"], index=index, stats=unplanned)
+    match(GRAPH, doc, options=CONFIGS["adaptive"], index=index, stats=unplanned)
     assert planned.candidates_tried <= unplanned.candidates_tried
 
 

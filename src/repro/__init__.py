@@ -11,12 +11,14 @@ executable comparison framework.
 This module is the consolidated public facade.  Everything a library
 consumer needs rides on ``repro`` itself::
 
-    from repro import QuerySession, MatchOptions, QueryBudget, explain
+    from repro import ExecOptions, QueryBudget, QuerySession, explain
 
     session = QuerySession(document)
     cycle = session.run(
         "query { book as B { title as T } } construct { r { collect T } }",
-        budget=QueryBudget(deadline_ms=500, on_limit="partial"),
+        options=ExecOptions(
+            budget=QueryBudget(deadline_ms=500, on_limit="partial")
+        ),
     )
 
 The facade groups:
@@ -25,11 +27,11 @@ The facade groups:
   :class:`BatchResult`: parse-evaluate-inspect with a shared index cache.
 * **Evaluation** — :func:`parse_rule` / :func:`evaluate_rule` /
   :func:`rule_bindings` (XML-GL) and :func:`wglog_query` (WG-Log), all
-  speaking the same keyword-only ``options=`` / ``trace=`` / ``budget=``
-  contract.
+  taking one keyword-only ``options=`` :class:`ExecOptions` bundle (plus
+  ``trace=`` / ``budget=`` per-call overlays).
 * **Governance** — :class:`QueryBudget` / :class:`CancelToken`
   (:mod:`repro.engine.limits`) plus the typed errors in :mod:`.errors`.
-* **Observability** — :func:`explain`, :class:`MatchOptions`,
+* **Observability** — :func:`explain`, :class:`ExecOptions`,
   :class:`EvalStats`, :class:`MetricsRegistry`.
 * **Static analysis** — :class:`Diagnostic`, :func:`analyze_rule`,
   :func:`analyze_program`.
@@ -49,7 +51,7 @@ from __future__ import annotations
 
 from typing import Any
 
-__version__ = "1.2.0"
+__version__ = "2.0.0"
 
 from . import errors
 from .session import BatchResult, QueryCycle, QuerySession
@@ -71,7 +73,6 @@ _LAZY: dict[str, tuple[str, str]] = {
     # evaluation (WG-Log)
     "wglog_query": (".wglog.semantics", "query"),
     # engine knobs + governance
-    "MatchOptions": (".engine.options", "MatchOptions"),
     "ExecOptions": (".session", "ExecOptions"),
     "EvalStats": (".engine.stats", "EvalStats"),
     "QueryBudget": (".engine.limits", "QueryBudget"),

@@ -56,15 +56,6 @@ rewriter off and on, *asserts* at least one fragment was removed, the
 results are identical and the off/on work ratio clears 2x, and records
 the counters and timings.
 
-The ``columnar`` block runs the join-heavy guard query with the columnar
-kernels on and off, *asserts* the binding multisets are identical, and
-records both the end-to-end timings and the **fragment-level** timings
-(the time actually spent inside ``_setwise_fragment`` /
-``_setwise_fragment_columns``, instrumented at the dispatch seam) — the
-fragment ratio is the honest kernel speedup, undiluted by parse/pool/
-construct overhead shared by both paths.  ``--gate-columnar 3.0`` turns
-the fragment ratio into a hard gate (CI).
-
 The ``incremental`` block applies a deterministic 1000-edit mutation
 script (inserts, deletes, value and attribute updates) to the
 bibliography through :meth:`~repro.session.QuerySession.mutate` with a
@@ -100,16 +91,17 @@ from .ssd.model import Document
 from .workloads import bibliography, nested_sections
 from .xmlgl.ast import QueryGraph
 from .xmlgl.dsl import parse_rule
-from .xmlgl.matcher import MatchOptions, match
+from .engine.options import ExecOptions
+from .xmlgl.matcher import match
 
 __all__ = ["run_suite", "main"]
 
-PIPELINE = MatchOptions(engine="pipeline")
-INDEXED = MatchOptions(engine="backtracking")
-NAIVE = MatchOptions(engine="naive")
-ADAPTIVE = MatchOptions(engine="adaptive")
+PIPELINE = ExecOptions(engine="pipeline")
+INDEXED = ExecOptions(engine="backtracking")
+NAIVE = ExecOptions(engine="naive")
+ADAPTIVE = ExecOptions(engine="adaptive")
 
-ENGINES: list[tuple[str, MatchOptions]] = [
+ENGINES: list[tuple[str, ExecOptions]] = [
     ("adaptive", ADAPTIVE),
     ("pipeline", PIPELINE),
     ("indexed", INDEXED),
@@ -199,7 +191,7 @@ def _time_and_count(
     graph: QueryGraph,
     document: Document,
     index: DocumentIndex,
-    options: MatchOptions,
+    options: ExecOptions,
     repeat: int,
 ) -> tuple[float, dict, int]:
     stats = EvalStats()
@@ -228,9 +220,9 @@ def measure_tracing_overhead(
     changed what the engine did, which is a bug, so this fails hard.  The
     returned block records both timings and their ratio.
     """
-    traced = MatchOptions(engine="pipeline", trace=True)
+    traced = ExecOptions(engine="pipeline", trace=True)
 
-    def best_of(options: MatchOptions) -> tuple[float, dict, int]:
+    def best_of(options: ExecOptions) -> tuple[float, dict, int]:
         stats = EvalStats()
         bindings = match(
             graph, document, options=options, index=index, stats=stats
@@ -278,7 +270,7 @@ def measure_governance_overhead(
     """
     from .engine.limits import QueryBudget
 
-    generous = MatchOptions(
+    generous = ExecOptions(
         engine="pipeline",
         budget=QueryBudget(
             deadline_ms=3_600_000.0,
@@ -288,7 +280,7 @@ def measure_governance_overhead(
         ),
     )
 
-    def best_of(options: MatchOptions) -> tuple[float, dict, int]:
+    def best_of(options: ExecOptions) -> tuple[float, dict, int]:
         stats = EvalStats()
         bindings = match(
             graph, document, options=options, index=index, stats=stats
@@ -419,93 +411,6 @@ def measure_rewrite(document: Document, repeat: int) -> dict:
         "off_seconds": off_seconds,
         "on_seconds": on_seconds,
         "speedup": round(off_seconds / max(on_seconds, 1e-9), 2),
-    }
-
-
-def measure_columnar(
-    graph: QueryGraph,
-    document: Document,
-    index: DocumentIndex,
-    repeat: int,
-) -> dict:
-    """The columnar guard: kernels must win at the fragment level.
-
-    Times the guard query on the pipeline engine with the columnar
-    kernels on and off.  The dispatch seam
-    (``matcher._setwise_fragment`` / ``_setwise_fragment_columns``) is
-    instrumented so the block can report the time actually spent inside
-    the fragment evaluators — the kernel-level ratio the ``>= 3x``
-    acceptance gate measures — alongside the end-to-end ratio, which
-    both paths dilute with identical parse/pool/construct work.
-    *Asserts* the binding multisets are identical.
-    """
-    from .engine import columns
-    from .engine.bindings import value_key
-    from .xmlgl import matcher as matcher_module
-
-    originals = (
-        matcher_module._setwise_fragment,
-        matcher_module._setwise_fragment_columns,
-    )
-    bucket = [0.0]
-
-    def instrument(fn):
-        def wrapper(*args, **kwargs):
-            started = time.perf_counter()
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                bucket[0] += time.perf_counter() - started
-
-        return wrapper
-
-    # The pipeline resolves both evaluators through module globals at each
-    # fragment dispatch, so wrapping the globals measures the real engine.
-    matcher_module._setwise_fragment = instrument(originals[0])
-    matcher_module._setwise_fragment_columns = instrument(originals[1])
-    try:
-
-        def best_of(options: MatchOptions) -> tuple[float, float, list]:
-            best_total = best_fragment = None
-            bindings = None
-            for _ in range(repeat):
-                bucket[0] = 0.0
-                started = time.perf_counter()
-                bindings = match(graph, document, options=options, index=index)
-                total = time.perf_counter() - started
-                if best_total is None or total < best_total:
-                    best_total = total
-                if best_fragment is None or bucket[0] < best_fragment:
-                    best_fragment = bucket[0]
-            key = sorted(
-                tuple(sorted((var, value_key(b[var])) for var in b))
-                for b in bindings
-            )
-            return best_total, best_fragment, key
-
-        on_total, on_fragment, on_key = best_of(
-            MatchOptions(engine="pipeline", columnar=True)
-        )
-        off_total, off_fragment, off_key = best_of(
-            MatchOptions(engine="pipeline", columnar=False)
-        )
-    finally:
-        matcher_module._setwise_fragment = originals[0]
-        matcher_module._setwise_fragment_columns = originals[1]
-    assert on_key == off_key, "columnar kernels changed the bindings"
-    return {
-        "query": TRACING_GUARD_QUERY,
-        "backend": columns.backend(),
-        "bindings": len(on_key),
-        "results_identical": True,
-        "tuple_seconds": off_total,
-        "columnar_seconds": on_total,
-        "tuple_fragment_seconds": off_fragment,
-        "columnar_fragment_seconds": on_fragment,
-        "fragment_speedup": round(
-            off_fragment / max(on_fragment, 1e-9), 2
-        ),
-        "end_to_end_speedup": round(off_total / max(on_total, 1e-9), 2),
     }
 
 
@@ -763,12 +668,6 @@ def run_suite(
     )
     report["plan_cache"] = measure_plan_cache(repeat, bib_entries)
     report["rewrite"] = measure_rewrite(datasets["sections"], repeat)
-    report["columnar"] = measure_columnar(
-        _first_graph(guard_text),
-        datasets[guard_dataset],
-        indexes[guard_dataset],
-        repeat,
-    )
     # Tiny test-suite sizes get a proportionally shorter edit script;
     # the CI size (400 entries) runs the full 1000 edits.
     report["incremental"] = measure_incremental(
@@ -877,14 +776,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "corpus with this many worker processes (0 = skip)",
     )
     parser.add_argument(
-        "--gate-columnar",
-        type=float,
-        default=None,
-        metavar="RATIO",
-        help="hard-fail if the columnar fragment-level speedup is below "
-        "this ratio (CI uses 3.0)",
-    )
-    parser.add_argument(
         "--gate-scaling",
         type=float,
         default=None,
@@ -985,14 +876,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         f"work {rewrite['off_work']} -> {rewrite['on_work']} "
         f"({rewrite['work_ratio']}x off/on), results identical"
     )
-    columnar = report["columnar"]
-    print(
-        f"columnar ({columnar['query']}, {columnar['backend']} backend): "
-        f"fragments {columnar['tuple_fragment_seconds'] * 1000:.2f}ms tuple"
-        f" -> {columnar['columnar_fragment_seconds'] * 1000:.2f}ms columnar"
-        f" ({columnar['fragment_speedup']}x), end-to-end "
-        f"{columnar['end_to_end_speedup']}x, bindings identical"
-    )
     incremental = report["incremental"]
     print(
         f"incremental ({incremental['edits']} edits, "
@@ -1015,13 +898,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
 
     failures = []
-    if args.gate_columnar is not None:
-        ratio = columnar["fragment_speedup"]
-        if ratio < args.gate_columnar:
-            failures.append(
-                f"columnar fragment speedup {ratio}x < "
-                f"{args.gate_columnar}x floor"
-            )
     if args.gate_scaling is not None:
         if "scaling" not in report:
             failures.append("--gate-scaling given but --workers not set")

@@ -368,9 +368,9 @@ def _cmd_run(args: argparse.Namespace, out) -> int:
         )
     options = None
     if args.no_rewrite:
-        from .engine.options import MatchOptions
+        from .engine.options import ExecOptions
 
-        options = MatchOptions(rewrite=False)
+        options = ExecOptions(rewrite=False)
     if args.explain:
         from .explain import explain
 
@@ -507,9 +507,9 @@ def _cmd_explain(args: argparse.Namespace, out) -> int:
         )
     options = None
     if args.engine is not None or args.no_rewrite:
-        from .engine.options import MatchOptions
+        from .engine.options import ExecOptions
 
-        options = MatchOptions(
+        options = ExecOptions(
             engine=args.engine if args.engine is not None else "adaptive",
             rewrite=not args.no_rewrite,
         )

@@ -20,10 +20,10 @@ from .conditions import (
 )
 from .cache import DocumentIndexCache, get_index, invalidate, shared_cache
 from .index import DocumentIndex
-from .joins import EdgeRelation, equijoin_key
+from .joins import ColumnRelation, equijoin_key
 from .metrics import MetricsRegistry, global_registry
 from .narrowing import intersect_pools
-from .options import MatchOptions
+from .options import ExecOptions
 from .pipeline import connected_components, evaluate_forest, is_forest
 from .planner import plan_order
 from .stats import EvalStats
@@ -36,7 +36,7 @@ __all__ = [
     "Condition", "Operand", "DocumentAccessor", "condition_variables",
     "DocumentIndex", "DocumentIndexCache", "get_index", "invalidate",
     "shared_cache", "intersect_pools", "plan_order", "EvalStats",
-    "MatchOptions", "EdgeRelation", "equijoin_key",
+    "ExecOptions", "ColumnRelation", "equijoin_key",
     "connected_components", "evaluate_forest", "is_forest",
     "Span", "Tracer", "MetricsRegistry", "global_registry",
 ]

@@ -1,6 +1,6 @@
 """Cardinality estimation from per-document statistics.
 
-The adaptive engine (``MatchOptions(engine="adaptive")``) decides, per
+The adaptive engine (``ExecOptions(engine="adaptive")``) decides, per
 query fragment, whether the set-at-a-time semi-join pipeline or the
 node-at-a-time backtracking core is cheaper.  That comparison needs real
 numbers, not shapes, so :class:`DocumentStatistics` collects — in one

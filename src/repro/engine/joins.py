@@ -2,20 +2,19 @@
 
 The set-at-a-time pipeline (:mod:`repro.engine.pipeline`) compiles a query
 fragment into *unary* relations (per-node candidate pools) and *binary*
-relations (candidate pairs satisfying one pattern edge).  This module holds
-the relation representation and the two algorithms the pipeline runs over
-them:
+relations (candidate pairs satisfying one pattern edge).  Candidates are
+ints — ``pre`` ids for document elements, positions in ``data.nodes()``
+for graph nodes — so pools are sorted ``array('i')`` columns and every
+relation is a :class:`ColumnRelation` of two parallel int columns.  This
+module holds that representation and the two algorithms the pipeline
+runs over it:
 
 * :func:`semijoin_reduce` — a Yannakakis-style full reduction over an
   acyclic join structure: one bottom-up and one top-down semi-join pass
   remove every *dangling* candidate (one that participates in no final
   answer), so the subsequent joins never enumerate a dead end;
 * :func:`join_forest` — hash-join assembly of the reduced relations along
-  the join tree, producing complete assignments.
-
-Candidates are identified by a caller-supplied key function (``id`` for
-document elements, the value itself for graph node ids), mirroring the
-identity-keyed conventions of :mod:`repro.engine.bindings`.
+  the join tree, producing complete assignments as flat int rows.
 
 :func:`equijoin_key` is the hash-key normalisation for *value* equi-joins
 (XML-GL's shared-value joins): two values receive the same key exactly when
@@ -26,7 +25,7 @@ join on these keys is equivalent to filtering a cross product with ``=``.
 from __future__ import annotations
 
 from array import array
-from typing import Any, Callable, Hashable, Iterable, Iterator, Optional, Sequence
+from typing import Any, Hashable, Optional, Sequence
 
 from ..ssd.datatypes import coerce
 from .columns import intersect_sorted, member_filter, unique_sorted
@@ -35,15 +34,10 @@ from .trace import span as trace_span
 
 __all__ = [
     "ColumnRelation",
-    "EdgeRelation",
     "equijoin_key",
     "join_forest",
-    "join_forest_columns",
     "semijoin_reduce",
-    "semijoin_reduce_columns",
 ]
-
-Key = Callable[[Any], Hashable]
 
 
 def equijoin_key(value: Any) -> Optional[Hashable]:
@@ -65,84 +59,14 @@ def equijoin_key(value: Any) -> Optional[Hashable]:
     return str(coerced)
 
 
-class EdgeRelation:
-    """A binary relation between the candidates of two pattern nodes.
-
-    Stores the satisfying ``(left, right)`` candidate pairs for one pattern
-    edge, with lazily built per-side groupings used by semi-joins (membership)
-    and hash joins (partner lookup).
-    """
-
-    __slots__ = ("left_var", "right_var", "pairs", "key", "_by_left", "_by_right")
-
-    def __init__(
-        self,
-        left_var: Hashable,
-        right_var: Hashable,
-        pairs: Iterable[tuple[Any, Any]],
-        key: Key = id,
-    ) -> None:
-        self.left_var = left_var
-        self.right_var = right_var
-        self.pairs: list[tuple[Any, Any]] = list(pairs)
-        self.key = key
-        self._by_left: Optional[dict[Hashable, list[Any]]] = None
-        self._by_right: Optional[dict[Hashable, list[Any]]] = None
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def vars(self) -> tuple[Hashable, Hashable]:
-        return (self.left_var, self.right_var)
-
-    def other(self, var: Hashable) -> Hashable:
-        """The opposite endpoint of ``var``."""
-        return self.right_var if var == self.left_var else self.left_var
-
-    def _invalidate(self) -> None:
-        self._by_left = None
-        self._by_right = None
-
-    def by_side(self, var: Hashable) -> dict[Hashable, list[Any]]:
-        """Partner values grouped by the ``var`` side's candidate key."""
-        if var == self.left_var:
-            if self._by_left is None:
-                grouped: dict[Hashable, list[Any]] = {}
-                for left, right in self.pairs:
-                    grouped.setdefault(self.key(left), []).append(right)
-                self._by_left = grouped
-            return self._by_left
-        if self._by_right is None:
-            grouped = {}
-            for left, right in self.pairs:
-                grouped.setdefault(self.key(right), []).append(left)
-            self._by_right = grouped
-        return self._by_right
-
-    def restrict(
-        self,
-        left_keys: Optional[set[Hashable]] = None,
-        right_keys: Optional[set[Hashable]] = None,
-    ) -> int:
-        """Drop pairs whose endpoints left the pools; returns pairs removed."""
-        before = len(self.pairs)
-        self.pairs = [
-            (left, right)
-            for left, right in self.pairs
-            if (left_keys is None or self.key(left) in left_keys)
-            and (right_keys is None or self.key(right) in right_keys)
-        ]
-        self._invalidate()
-        return before - len(self.pairs)
-
-
 class ColumnRelation:
-    """A binary relation between two pools of ``pre`` ids, as columns.
+    """A binary relation between the int candidates of two pattern nodes.
 
-    The columnar counterpart of :class:`EdgeRelation`: pairs live in two
-    parallel ``array('i')`` vectors, so restriction is an int-mask pass,
-    semi-join membership an int-set probe, and the per-side partner
-    grouping a dict of int keys to int columns — no node objects anywhere.
+    Stores the satisfying pairs of one pattern edge in two parallel
+    ``array('i')`` vectors, so restriction is an int-mask pass, semi-join
+    membership an int-set probe, and the per-side partner grouping (used
+    by hash joins) a dict of int keys to int lists — no node objects
+    anywhere.
     """
 
     __slots__ = ("left_var", "right_var", "left", "right", "_by_left", "_by_right")
@@ -169,11 +93,11 @@ class ColumnRelation:
         return self.right_var if var == self.left_var else self.left_var
 
     def side(self, var: Hashable) -> array:
-        """The pre column of the ``var`` endpoint."""
+        """The int column of the ``var`` endpoint."""
         return self.left if var == self.left_var else self.right
 
     def partners(self, var: Hashable) -> dict[int, list[int]]:
-        """Partner pres grouped by the ``var`` side's pre (lazy, cached)."""
+        """Partners grouped by the ``var`` side's candidate (lazy, cached)."""
         if var == self.left_var:
             if self._by_left is None:
                 grouped: dict[int, list[int]] = {}
@@ -205,148 +129,13 @@ class ColumnRelation:
 
 
 def _semijoin(
-    pools: dict[Hashable, list[Any]],
-    relation: EdgeRelation,
-    keep_var: Hashable,
-    stats: EvalStats,
-    direction: str,
-) -> None:
-    """Reduce ``pools[keep_var]`` to candidates with a partner in ``relation``."""
-    present = set(relation.by_side(keep_var))
-    pool = pools[keep_var]
-    kept = [candidate for candidate in pool if relation.key(candidate) in present]
-    stats.semijoins += 1
-    stats.semijoin_dropped += len(pool) - len(kept)
-    pools[keep_var] = kept
-    if stats.budget is not None:
-        stats.budget.charge(len(pool))
-    if stats.trace is not None:
-        stats.trace.event(
-            "semijoin",
-            var=str(keep_var),
-            via=f"{relation.left_var}-{relation.right_var}",
-            direction=direction,
-            before=len(pool),
-            after=len(kept),
-        )
-
-
-def semijoin_reduce(
-    pools: dict[Hashable, list[Any]],
-    relations: Sequence[EdgeRelation],
-    order: Sequence[Hashable],
-    parent_of: dict[Hashable, tuple[Hashable, EdgeRelation]],
-    stats: EvalStats,
-) -> bool:
-    """Yannakakis full reduction over a rooted join forest (in place).
-
-    Args:
-        pools: per-variable candidate pools; mutated to their reduced form.
-        relations: every edge relation of the forest.
-        order: planner order; each non-root variable appears after its parent.
-        parent_of: variable -> (parent variable, connecting relation) for
-            every non-root variable.
-        stats: semi-join counters are accumulated here.
-
-    Returns:
-        False when some pool or relation became empty (no results exist),
-        True otherwise.  After a True return every remaining candidate
-        participates in at least one final assignment.
-    """
-    with trace_span(stats.trace, "reduce") as reduce_span:
-        if reduce_span is not None:
-            reduce_span["before"] = {str(v): len(p) for v, p in pools.items()}
-        # Bottom-up: children reduce their parents before the parents reduce
-        # anything above them.
-        for var in reversed(order):
-            entry = parent_of.get(var)
-            if entry is None:
-                continue
-            parent_var, relation = entry
-            relation.restrict(
-                left_keys={relation.key(c) for c in pools[relation.left_var]},
-                right_keys={relation.key(c) for c in pools[relation.right_var]},
-            )
-            _semijoin(pools, relation, parent_var, stats, "bottom-up")
-            if not pools[parent_var]:
-                return False
-        # Top-down: parents reduce their children.
-        for var in order:
-            entry = parent_of.get(var)
-            if entry is None:
-                continue
-            parent_var, relation = entry
-            relation.restrict(
-                left_keys={relation.key(c) for c in pools[relation.left_var]},
-                right_keys={relation.key(c) for c in pools[relation.right_var]},
-            )
-            _semijoin(pools, relation, var, stats, "top-down")
-            if not pools[var]:
-                return False
-        if reduce_span is not None:
-            reduce_span["after"] = {str(v): len(p) for v, p in pools.items()}
-    return True
-
-
-def join_forest(
-    pools: dict[Hashable, list[Any]],
-    order: Sequence[Hashable],
-    parent_of: dict[Hashable, tuple[Hashable, EdgeRelation]],
-    stats: EvalStats,
-) -> Iterator[dict[Hashable, Any]]:
-    """Assemble full assignments along the join forest by hash joins.
-
-    Variables are added in planner order: a root variable contributes its
-    pool wholesale (a cross product across trees of the forest), every
-    other variable contributes the partners of its parent's value in the
-    connecting relation.  After :func:`semijoin_reduce` no partial row ever
-    dies, so the row count only tracks true results.
-    """
-    rows: list[dict[Hashable, Any]] = [{}]
-    with trace_span(stats.trace, "assemble") as assemble_span:
-        for var in order:
-            entry = parent_of.get(var)
-            extended: list[dict[Hashable, Any]] = []
-            if entry is None:
-                pool = pools[var]
-                for row in rows:
-                    for candidate in pool:
-                        new_row = dict(row)
-                        new_row[var] = candidate
-                        extended.append(new_row)
-            else:
-                parent_var, relation = entry
-                partners = relation.by_side(parent_var)
-                key = relation.key
-                for row in rows:
-                    for candidate in partners.get(key(row[parent_var]), ()):
-                        new_row = dict(row)
-                        new_row[var] = candidate
-                        extended.append(new_row)
-            stats.hashjoin_rows += len(extended)
-            if stats.budget is not None:
-                stats.budget.add_rows(len(extended))
-            rows = extended
-            if not rows:
-                break
-        if assemble_span is not None:
-            assemble_span["rows"] = len(rows)
-    if rows:
-        yield from rows
-
-
-# ---------------------------------------------------------------------------
-# Columnar kernels (pre-id pools; see repro.engine.columns)
-# ---------------------------------------------------------------------------
-
-def _semijoin_columns(
     pools: dict[Hashable, array],
     relation: ColumnRelation,
     keep_var: Hashable,
     stats: EvalStats,
     direction: str,
 ) -> None:
-    """Reduce ``pools[keep_var]`` to pres with a partner in ``relation``."""
+    """Reduce ``pools[keep_var]`` to candidates with a partner in ``relation``."""
     side = relation.side(keep_var)
     pool = pools[keep_var]
     present = unique_sorted(side) if len(side) > 1 else set(side)
@@ -370,21 +159,32 @@ def _semijoin_columns(
         )
 
 
-def semijoin_reduce_columns(
+def semijoin_reduce(
     pools: dict[Hashable, array],
     relations: Sequence[ColumnRelation],
     order: Sequence[Hashable],
     parent_of: dict[Hashable, tuple[Hashable, ColumnRelation]],
     stats: EvalStats,
 ) -> bool:
-    """Yannakakis full reduction over int-column pools (in place).
+    """Yannakakis full reduction over a rooted join forest (in place).
 
-    The columnar twin of :func:`semijoin_reduce`: identical passes and
-    guarantees, but pools are sorted pre columns and relations
-    :class:`ColumnRelation`\\ s, so every membership probe is an int
-    operation.  Relations built *from* the current pools start consistent
-    with them, so a restrict pass only runs against sides whose pool has
-    shrunk since construction — a no-op filter skipped wholesale.
+    Args:
+        pools: per-variable sorted int columns; mutated to their reduced
+            form.
+        relations: every edge relation of the forest.
+        order: planner order; each non-root variable appears after its parent.
+        parent_of: variable -> (parent variable, connecting relation) for
+            every non-root variable.
+        stats: semi-join counters are accumulated here.
+
+    Returns:
+        False when some pool became empty (no results exist), True
+        otherwise.  After a True return every remaining candidate
+        participates in at least one final assignment.
+
+    Relations built *from* the current pools start consistent with them,
+    so a restrict pass only runs against sides whose pool has shrunk since
+    construction — a no-op filter skipped wholesale.
     """
     shrunk: set[Hashable] = set()
 
@@ -409,7 +209,7 @@ def semijoin_reduce_columns(
             parent_var, relation = entry
             restrict(relation)
             before = len(pools[parent_var])
-            _semijoin_columns(pools, relation, parent_var, stats, "bottom-up")
+            _semijoin(pools, relation, parent_var, stats, "bottom-up")
             reduced(parent_var, before)
             if not pools[parent_var]:
                 return False
@@ -420,7 +220,7 @@ def semijoin_reduce_columns(
             parent_var, relation = entry
             restrict(relation)
             before = len(pools[var])
-            _semijoin_columns(pools, relation, var, stats, "top-down")
+            _semijoin(pools, relation, var, stats, "top-down")
             reduced(var, before)
             if not pools[var]:
                 return False
@@ -429,19 +229,21 @@ def semijoin_reduce_columns(
     return True
 
 
-def join_forest_columns(
+def join_forest(
     pools: dict[Hashable, array],
     order: Sequence[Hashable],
     parent_of: dict[Hashable, tuple[Hashable, ColumnRelation]],
     stats: EvalStats,
 ) -> list[list[int]]:
-    """Hash-join assembly over int columns.
+    """Assemble full assignments along the join forest by hash joins.
 
-    The columnar twin of :func:`join_forest`: rows are flat int lists
-    aligned with ``order`` (``row[i]`` is the pre bound to ``order[i]``),
-    extended by list concatenation instead of per-variable dict copies.
-    Node objects are only materialised by the caller, against the index's
-    ``pre -> element`` side table, after assembly finishes.
+    Variables are added in planner order: a root variable contributes its
+    pool wholesale (a cross product across trees of the forest), every
+    other variable contributes the partners of its parent's value in the
+    connecting relation.  After :func:`semijoin_reduce` no partial row ever
+    dies, so the row count only tracks true results.  Rows are flat int
+    lists aligned with ``order`` (``row[i]`` is the candidate bound to
+    ``order[i]``); the caller maps them back to nodes after assembly.
     """
     position = {var: i for i, var in enumerate(order)}
     rows: list[list[int]] = [[]]

@@ -11,12 +11,9 @@ through them, preserving the base pool's order and de-duplicating.
 
 from __future__ import annotations
 
-from array import array
 from typing import Callable, Optional, Sequence, TypeVar
 
-from .columns import intersect_sorted
-
-__all__ = ["intersect_pools", "intersect_pre_pools"]
+__all__ = ["intersect_pools"]
 
 T = TypeVar("T")
 
@@ -59,24 +56,4 @@ def intersect_pools(
         if all(k in other for other in others):
             seen.add(k)
             result.append(candidate)
-    return result
-
-
-def intersect_pre_pools(pools: Sequence[Sequence[int]]) -> array:
-    """Intersection of sorted unique pre-id pools, smallest-first.
-
-    The columnar twin of :func:`intersect_pools`: every pool is a sorted
-    ``pre``-id column (see :mod:`repro.engine.columns`), so intersection
-    needs no membership keys — it folds :func:`intersect_sorted` starting
-    from the smallest pool, and the result is sorted ascending (= document
-    order) by construction.
-    """
-    if not pools:
-        raise ValueError("intersect_pre_pools needs at least one pool")
-    ordered = sorted(pools, key=len)
-    result = array("i", ordered[0])
-    for pool in ordered[1:]:
-        if not result:
-            break
-        result = intersect_sorted(result, pool)
     return result

@@ -1,7 +1,9 @@
-"""Evaluation options shared by both matchers.
+"""The one execution-options type shared by every entry point.
 
-:class:`MatchOptions` collects the engine-selection and ablation knobs the
-XML-GL document matcher and the WG-Log graph matcher both honour:
+:class:`ExecOptions` is the frozen bundle of run-time switches the XML-GL
+document matcher, the WG-Log graph matcher, the evaluators and
+:class:`~repro.session.QuerySession` all honour (re-exported unchanged as
+``repro.session.ExecOptions`` and ``repro.ExecOptions``):
 
 * ``engine`` — the evaluation strategy:
 
@@ -13,42 +15,33 @@ XML-GL document matcher and the WG-Log graph matcher both honour:
     *hard* fallbacks (ordered / negated / cyclic fragments) apply exactly
     as under ``"pipeline"``.
   - ``"pipeline"``: set-at-a-time evaluation, forced.  The query is
-    compiled into per-node candidate pools plus binary edge relations, a
-    Yannakakis-style semi-join reduction removes dangling candidates over a
-    cost-chosen join tree, and hash joins assemble the final binding set.
-    Fragments the pipeline cannot cover — undirected cycles, ordered arcs,
-    negation, path edges — fall back to the backtracking core *per
-    fragment*, so one uncooperative corner of a query does not forfeit
-    set-at-a-time evaluation for the rest.
+    compiled into per-node candidate pools plus binary edge relations,
+    both held as int columns (:mod:`repro.engine.columns`); a
+    Yannakakis-style semi-join reduction removes dangling candidates over
+    a cost-chosen join tree, and hash joins assemble the final binding
+    set.  Fragments the pipeline cannot cover — undirected cycles,
+    ordered arcs, negation, path edges — fall back to the backtracking
+    core *per fragment*, so one uncooperative corner of a query does not
+    forfeit set-at-a-time evaluation for the rest.
   - ``"backtracking"``: the node-at-a-time core with interval-index
-    candidate narrowing (the PR-1 engine; differential oracle for the
-    pipeline).
+    candidate narrowing (differential oracle for the pipeline).
   - ``"naive"``: backtracking with indexes disabled — full scans and
-    per-candidate structural checks (the ablation baseline).
-
-* ``use_planner`` / ``use_index`` — the EXT-A1 ablation switches carried
-  over from the node-at-a-time engine.  ``use_index=False`` implies the
-  naive engine (the pipeline builds its pools and relations from the
-  index, so it degrades to backtracking without one).
+    per-candidate structural checks; the ablation baseline and the
+    differential oracle of every other engine.
 
 * ``rewrite`` — run the static query-rewrite layer
   (:mod:`repro.analysis.rewrite`) before planning: canonicalization,
   containment-based minimization and condition simplification.  On by
   default; ``False`` is the escape hatch (``repro run --no-rewrite``)
-  that evaluates the drawn query verbatim — the ablation switch for the
-  rewrite layer, and the way out should a rewrite rule ever prove
-  unsound in the field.
+  that evaluates the drawn query verbatim.
 
-* ``columnar`` — let the set-at-a-time path run on the columnar kernels
-  (:mod:`repro.engine.columns`): candidate pools and edge relations as
-  flat sorted ``pre``-id columns, node objects materialised only at
-  hash-join assembly.  On by default; ``False`` pins the historical
-  tuple-of-nodes pipeline (the ablation/differential switch, mirroring
-  ``rewrite``).  Only the interval-indexed XML-GL pipeline has a columnar
-  twin — backtracking, naive and WG-Log evaluation ignore the flag.
+* ``use_planner`` — the EXT-A1 ablation switch: ``False`` keeps the
+  drawing order as the join / backtracking order instead of the
+  cost-based :func:`repro.engine.planner.plan_order`.  Honoured by every
+  engine.
 
 * ``trace`` — record a span tree (:mod:`repro.engine.trace`) of the
-  evaluation.  The matchers attach a fresh
+  evaluation.  The outermost entry point attaches a fresh
   :class:`~repro.engine.trace.Tracer` to the evaluation's ``EvalStats``
   unless the caller installed one already; sessions expose the recorded
   tree on ``QueryCycle.trace`` / ``BatchResult.trace``.
@@ -58,6 +51,11 @@ XML-GL document matcher and the WG-Log graph matcher both honour:
   the ``on_limit`` raise-vs-partial policy.  Armed onto the evaluation's
   ``EvalStats`` at query start, mirroring the tracer convention; ``None``
   (the default) means ungoverned and costs nothing on the hot path.
+
+The bundle is frozen so it can be shared across threads and cached plans
+without defensive copies; derive a variant with :func:`dataclasses.replace`
+("this tenant runs unbudgeted" is ``replace(session.defaults,
+budget=None)``).
 """
 
 from __future__ import annotations
@@ -68,21 +66,19 @@ from typing import TYPE_CHECKING, Optional
 if TYPE_CHECKING:
     from .limits import QueryBudget
 
-__all__ = ["ENGINES", "MatchOptions"]
+__all__ = ["ENGINES", "ExecOptions"]
 
-#: Recognised values of :attr:`MatchOptions.engine`.
+#: Recognised values of :attr:`ExecOptions.engine`.
 ENGINES = ("adaptive", "pipeline", "backtracking", "naive")
 
 
-@dataclass
-class MatchOptions:
-    """Evaluation switches (engine choice + ablation knobs EXT-A1)."""
+@dataclass(frozen=True)
+class ExecOptions:
+    """Engine choice, rewrite and planner switches, tracing and budget."""
 
-    use_planner: bool = True
-    use_index: bool = True
     engine: str = "adaptive"
     rewrite: bool = True
-    columnar: bool = True
+    use_planner: bool = True
     trace: bool = False
     budget: Optional["QueryBudget"] = None
 
@@ -91,23 +87,3 @@ class MatchOptions:
             raise ValueError(
                 f"unknown engine {self.engine!r}; expected one of {ENGINES}"
             )
-
-    def resolved_engine(self) -> str:
-        """The engine that will actually run.
-
-        ``"naive"`` forces scans regardless of ``use_index``; conversely,
-        ``use_index=False`` demotes the adaptive/pipeline engines to
-        backtracking (which then scans), preserving the historical meaning
-        of the ablation flag for callers that never mention engines — the
-        cost model and the set-at-a-time plans both feed on the index, so
-        neither exists without one.
-        """
-        if self.engine == "naive":
-            return "naive"
-        if self.engine in ("adaptive", "pipeline") and not self.use_index:
-            return "backtracking"
-        return self.engine
-
-    def scans_only(self) -> bool:
-        """Whether evaluation must avoid the index (naive/ablation mode)."""
-        return self.engine == "naive" or not self.use_index

@@ -5,10 +5,11 @@ paper's shared sub-nodes *are* relational joins — so the pipeline works on
 that shape directly and leaves language semantics to the matchers:
 
 * a *variable* per pattern node, with a **candidate pool** (unary relation)
-  supplied by the caller, typically from a
-  :class:`~repro.engine.index.DocumentIndex` lookup;
-* an :class:`~repro.engine.joins.EdgeRelation` per pattern edge holding the
-  candidate **pairs** that satisfy it.
+  supplied by the caller as a sorted ``array('i')`` of int candidates —
+  ``pre`` ids from a :class:`~repro.engine.index.DocumentIndex` for
+  XML-GL, positions in ``data.nodes()`` for WG-Log graph matching;
+* a :class:`~repro.engine.joins.ColumnRelation` per pattern edge holding
+  the candidate **pairs** that satisfy it, as two parallel int columns.
 
 :func:`evaluate_forest` then runs the classic acyclic-query plan: choose a
 join order from cardinality estimates (pool sizes, which for indexed pools
@@ -27,16 +28,9 @@ those, per fragment.
 from __future__ import annotations
 
 from array import array
-from typing import Any, Hashable, Iterable, Iterator, Optional, Sequence
+from typing import Hashable, Iterable, Sequence
 
-from .joins import (
-    ColumnRelation,
-    EdgeRelation,
-    join_forest,
-    join_forest_columns,
-    semijoin_reduce,
-    semijoin_reduce_columns,
-)
+from .joins import ColumnRelation, join_forest, semijoin_reduce
 from .planner import plan_order
 from .stats import EvalStats
 from .trace import span as trace_span
@@ -45,9 +39,7 @@ __all__ = [
     "connected_components",
     "is_forest",
     "evaluate_forest",
-    "evaluate_forest_columns",
     "relation_for",
-    "column_relation_for",
 ]
 
 Var = Hashable
@@ -96,96 +88,28 @@ def is_forest(variables: Iterable[Var], edges: Sequence[tuple[Var, Var]]) -> boo
 
 
 def evaluate_forest(
-    pools: dict[Var, list[Any]],
-    relations: Sequence[EdgeRelation],
-    stats: EvalStats,
-    planner_enabled: bool = True,
-) -> Iterator[dict[Var, Any]]:
-    """All assignments of a forest-shaped join query, set-at-a-time.
-
-    Args:
-        pools: candidate pool per variable (consumed; reduced in place).
-        relations: one :class:`EdgeRelation` per pattern edge; the
-            undirected graph they induce over ``pools``' keys must be a
-            forest (:func:`is_forest`).
-        stats: semi-join / hash-join counters accumulate here.
-        planner_enabled: when False, keep the pools' insertion order as the
-            join order (planner ablation).
-
-    Yields:
-        Complete ``{variable: candidate}`` assignments.  Distinct trees of
-        the forest combine by cross product, as in the backtracking core.
-    """
-    if stats.budget is not None:
-        stats.budget.poll()
-    variables = list(pools)
-    adjacency: dict[Var, list[Var]] = {var: [] for var in variables}
-    for relation in relations:
-        adjacency[relation.left_var].append(relation.right_var)
-        adjacency[relation.right_var].append(relation.left_var)
-
-    with trace_span(stats.trace, "plan") as plan_span:
-        order = plan_order(
-            variables,
-            estimate=lambda var: len(pools[var]),
-            adjacency=adjacency,
-            enabled=planner_enabled,
-        )
-
-        # Root the forest along the planner order: the first placed endpoint
-        # of each relation becomes the parent of the other.
-        relations_by_var: dict[Var, list[EdgeRelation]] = {
-            var: [] for var in variables
-        }
-        for relation in relations:
-            relations_by_var[relation.left_var].append(relation)
-            relations_by_var[relation.right_var].append(relation)
-        placed: set[Var] = set()
-        parent_of: dict[Var, tuple[Var, EdgeRelation]] = {}
-        for var in order:
-            for relation in relations_by_var[var]:
-                other = relation.other(var)
-                if other in placed:
-                    if var in parent_of:
-                        raise ValueError(
-                            "cyclic join structure: "
-                            f"variable {var!r} reaches two placed parents"
-                        )
-                    parent_of[var] = (other, relation)
-            placed.add(var)
-        if plan_span is not None:
-            plan_span["order"] = [str(var) for var in order]
-            plan_span["pool_sizes"] = {
-                str(var): len(pools[var]) for var in order
-            }
-            plan_span["forest"] = [
-                {"var": str(var), "parent": str(parent)}
-                for var, (parent, _) in parent_of.items()
-            ]
-            plan_span["planner"] = "cost" if planner_enabled else "input-order"
-
-    if not semijoin_reduce(pools, relations, order, parent_of, stats):
-        return
-    yield from join_forest(pools, order, parent_of, stats)
-
-
-def evaluate_forest_columns(
     pools: dict[Var, array],
     relations: Sequence[ColumnRelation],
     stats: EvalStats,
     planner_enabled: bool = True,
 ) -> tuple[list[Var], list[list[int]]]:
-    """All assignments of a forest-shaped join query over int columns.
+    """All assignments of a forest-shaped join query, set-at-a-time.
 
-    The columnar twin of :func:`evaluate_forest`: pools are sorted
-    ``pre``-id columns and relations :class:`ColumnRelation`\\ s, so the
-    whole plan→reduce→assemble cascade never touches a node object.  Same
-    planner, same rooting, same trace spans.
+    Args:
+        pools: sorted int column per variable (consumed; reduced in place).
+        relations: one :class:`ColumnRelation` per pattern edge; the
+            undirected graph they induce over ``pools``' keys must be a
+            forest (:func:`is_forest`), else ``ValueError``.
+        stats: semi-join / hash-join counters accumulate here.
+        planner_enabled: when False, keep the pools' insertion order as the
+            join order (planner ablation).
 
     Returns:
         ``(order, rows)`` — the join order and the assembled rows, each a
-        flat int list aligned with ``order``.  Callers materialise nodes
-        against the index's ``pre -> element`` side table.
+        flat int list aligned with ``order``.  Distinct trees of the forest
+        combine by cross product.  The whole plan→reduce→assemble cascade
+        never touches a node object: callers map ints back to nodes (the
+        index's ``pre -> element`` table, a graph's node list).
     """
     if stats.budget is not None:
         stats.budget.poll()
@@ -231,49 +155,29 @@ def evaluate_forest_columns(
                 for var, (parent, _) in parent_of.items()
             ]
             plan_span["planner"] = "cost" if planner_enabled else "input-order"
-            plan_span["columnar"] = True
 
-    if not semijoin_reduce_columns(pools, relations, order, parent_of, stats):
+    if not semijoin_reduce(pools, relations, order, parent_of, stats):
         return list(order), []
-    return list(order), join_forest_columns(pools, order, parent_of, stats)
-
-
-def column_relation_for(
-    left_var: Var,
-    right_var: Var,
-    pairs: tuple[array, array],
-    stats: EvalStats,
-) -> ColumnRelation:
-    """Materialise a :class:`ColumnRelation`, tallying like :func:`relation_for`.
-
-    ``pairs`` is the ``(left column, right column)`` output of a
-    :mod:`repro.engine.columns` kernel.  Budget row-bounding happens at the
-    kernel call site (counts are known before materialisation), so this
-    only mirrors the ``edge_checks`` / ``relation_pairs`` accounting.
-    """
-    relation = ColumnRelation(left_var, right_var, pairs[0], pairs[1])
-    stats.edge_checks += 1
-    stats.relation_pairs += len(relation)
-    return relation
+    return list(order), join_forest(pools, order, parent_of, stats)
 
 
 def relation_for(
     left_var: Var,
     right_var: Var,
-    pairs: Iterable[tuple[Any, Any]],
+    pairs: tuple[array, array],
     stats: EvalStats,
-    key=id,
-) -> EdgeRelation:
-    """Materialise an :class:`EdgeRelation`, tallying its size.
+) -> ColumnRelation:
+    """Materialise a :class:`ColumnRelation`, tallying its size.
 
-    One wholesale ``edge_checks`` bump per relation mirrors the interval
-    convention: pairs drawn from index-backed pools satisfy their edge *by
+    ``pairs`` is a ``(left column, right column)`` pair, e.g. the output
+    of a :mod:`repro.engine.columns` kernel.  One wholesale
+    ``edge_checks`` bump per relation mirrors the interval convention:
+    pairs drawn from index-backed pools satisfy their edge *by
     construction*, so they are counted as ``relation_pairs``, not as
-    per-candidate trials.
+    per-candidate trials.  Budget row-bounding happens at the call site
+    (counts are known before or at materialisation).
     """
-    if stats.budget is not None:
-        pairs = stats.budget.bounded_rows(pairs)
-    relation = EdgeRelation(left_var, right_var, pairs, key=key)
+    relation = ColumnRelation(left_var, right_var, pairs[0], pairs[1])
     stats.edge_checks += 1
     stats.relation_pairs += len(relation)
     return relation

@@ -30,7 +30,12 @@ import heapq
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
-__all__ = ["FragmentCosts", "choose_fragment_engine", "plan_order"]
+__all__ = [
+    "FragmentCosts",
+    "KERNEL_ITEM_COST",
+    "choose_fragment_engine",
+    "plan_order",
+]
 
 NodeId = Hashable
 
@@ -102,22 +107,21 @@ class FragmentCosts:
     rows: float
 
 
-#: Per-item cost discount of columnar pipeline materialisation relative
-#: to the cost model's common currency (one per-candidate step of the
-#: backtracking walk, or one tuple-pipeline pool/relation item — both
-#: Python-level loop iterations).  Columnar pools and relations are flat
-#: int columns built by bisect / vectorised kernels, so their per-item
-#: cost is C-level: calibrated against bench_smoke fragment timings,
-#: where a kernel item runs ~20x cheaper than a walk step.  Assembled
-#: rows stay undiscounted — they materialise node objects either way.
-_COLUMNAR_DISCOUNT = 0.05
+#: Per-item materialisation cost of pools and relations built by the
+#: vectorised int-column kernels (:mod:`repro.engine.columns`), in the cost
+#: model's common currency: one per-candidate step of the backtracking
+#: walk, a Python-level loop iteration.  Kernel items are built by bisect
+#: / vectorised passes: calibrated against bench_smoke fragment timings,
+#: a kernel item runs ~20x cheaper than a walk step.  Callers whose pools
+#: and relations come out of a Python loop pass ``item_cost=1.0``.
+KERNEL_ITEM_COST = 0.05
 
 
 def choose_fragment_engine(
     pool_sizes: Mapping[NodeId, float],
     edge_pairs: Sequence[tuple[NodeId, NodeId, float]],
     enabled: bool = True,
-    columnar: bool = False,
+    item_cost: float = 1.0,
 ) -> FragmentCosts:
     """Cost-compare one acyclic fragment's two evaluation strategies.
 
@@ -128,10 +132,10 @@ def choose_fragment_engine(
             :meth:`repro.engine.estimator.CardinalityEstimator.scaled_edge_pairs`.
         enabled: forwarded to :func:`plan_order` (planner ablation keeps
             the drawing order).
-        columnar: the pipeline under comparison runs on the columnar
-            kernels — pool and relation materialisation is discounted by
-            ``_COLUMNAR_DISCOUNT`` (assembled rows cost the same: they
-            materialise either way).
+        item_cost: per-item cost of pool and relation materialisation for
+            the kernels the caller actually runs (:data:`KERNEL_ITEM_COST`
+            for the vectorised column kernels, 1.0 for a Python loop).
+            Assembled rows always cost 1: they materialise nodes either way.
 
     The backtracking estimate walks the same selective-first order the
     engine would use: an unattached box scans its whole pool per partial
@@ -179,9 +183,7 @@ def choose_fragment_engine(
     materialise = float(sum(pool_sizes.values())) + float(
         sum(pairs for _, _, pairs in edge_pairs)
     )
-    if columnar:
-        materialise *= _COLUMNAR_DISCOUNT
-    pipeline = materialise + rows
+    pipeline = materialise * item_cost + rows
     engine = "backtracking" if backtracking <= pipeline else "pipeline"
     return FragmentCosts(
         engine=engine, pipeline=pipeline, backtracking=backtracking, rows=rows

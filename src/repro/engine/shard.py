@@ -1,6 +1,6 @@
 """Process-pool sharded corpus execution.
 
-The set-at-a-time pipeline (columnar since :mod:`repro.engine.columns`)
+The set-at-a-time pipeline (int columns, :mod:`repro.engine.columns`)
 saturates one core; corpus-scale workloads — the same query over hundreds
 of documents, or a batch of queries over one collection — need the other
 cores, and Python threads cannot provide them for CPU-bound matching.
@@ -66,7 +66,7 @@ from ..errors import (
 from ..ssd.model import Document, Element
 from .estimator import balanced_partition
 from .limits import CancelToken, QueryBudget, arm_budget
-from .options import MatchOptions
+from .options import ExecOptions
 from .stats import EvalStats
 
 __all__ = [
@@ -108,7 +108,7 @@ class ShardTask:
     position: int
     query: str
     sources: tuple[tuple[str, str], ...]
-    options: Optional[MatchOptions] = None
+    options: Optional[ExecOptions] = None
     budget: Optional[QueryBudget] = None
 
 
@@ -404,7 +404,7 @@ class CorpusRun:
         return all(error is None for error in self.errors)
 
 
-def _reject_tracing(options: Optional[MatchOptions]) -> None:
+def _reject_tracing(options: Optional[ExecOptions]) -> None:
     if options is not None and options.trace:
         raise ValueError(
             "tracing is not supported under process-sharded execution: "
@@ -491,7 +491,7 @@ class ShardedExecutor:
         queries: Sequence[str],
         sources: Sources,
         *,
-        options: Optional[MatchOptions] = None,
+        options: Optional[ExecOptions] = None,
         budget: Optional[QueryBudget] = None,
         cancel: Optional[CancelToken] = None,
     ) -> list[ShardOutcome]:
@@ -527,7 +527,7 @@ class ShardedExecutor:
         corpus: Mapping[str, Document],
         *,
         shards: Optional[int] = None,
-        options: Optional[MatchOptions] = None,
+        options: Optional[ExecOptions] = None,
         budget: Optional[QueryBudget] = None,
         cancel: Optional[CancelToken] = None,
     ) -> CorpusRun:

@@ -48,7 +48,7 @@ from ..ssd.model import Document
 from .bindings import Binding, BindingSet
 from .conditions import AttributeOf, ContentOf
 from .mutate import MutationResult, TouchedRegion
-from .options import MatchOptions
+from .options import ExecOptions
 from .stats import EvalStats
 
 __all__ = ["QueryFootprint", "ResultDelta", "Subscription"]
@@ -242,7 +242,7 @@ class Subscription:
         query: Union[str, Any],
         sources: Sources,
         *,
-        options: Optional[MatchOptions] = None,
+        options: Optional[ExecOptions] = None,
         indexes: Optional[Any] = None,
         plans: Optional[Any] = None,
     ) -> None:

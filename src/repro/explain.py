@@ -29,10 +29,10 @@ inspected without any data at hand; the report says so.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Mapping, Optional, Union
 
-from .engine.options import MatchOptions
+from .engine.options import ExecOptions
 from .engine.plan_cache import PlanCache
 from .engine.stats import EvalStats
 from .engine.trace import Span, Tracer
@@ -138,7 +138,7 @@ class Explanation:
     plan_source: str = "compiled"
     #: Per-counter summary of the static rewrite layer ("merged=2
     #: pruned=1"), "none" when nothing fired, "off" when rewriting was
-    #: disabled (``MatchOptions.rewrite=False``).
+    #: disabled (``ExecOptions(rewrite=False)``).
     rewrites: str = "off"
 
     def to_dict(self) -> dict[str, Any]:
@@ -364,7 +364,7 @@ def _digest(
 def explain(
     query: Union[str, Rule],
     sources: Optional[Sources] = None,
-    options: Optional[MatchOptions] = None,
+    options: Optional[ExecOptions] = None,
     indexes: Optional[Any] = None,
     plans: Optional[PlanCache] = None,
 ) -> Explanation:
@@ -383,16 +383,7 @@ def explain(
         from .workloads import bibliography
 
         sources = bibliography(DEFAULT_WORKLOAD_ENTRIES, seed=0)
-    base = options or MatchOptions()
-    traced = MatchOptions(
-        use_planner=base.use_planner,
-        use_index=base.use_index,
-        engine=base.engine,
-        rewrite=base.rewrite,
-        columnar=base.columnar,
-        trace=True,
-        budget=base.budget,
-    )
+    traced = replace(options or ExecOptions(), trace=True)
     stats = EvalStats()
     stats.trace = Tracer()
     rule, source_text, plan = lookup_or_compile(
@@ -409,7 +400,7 @@ def explain(
         rewrites = report.describe() if report is not None else "none"
     return _digest(
         query_text,
-        traced.resolved_engine(),
+        traced.engine,
         stats,
         stats.trace,
         synthetic,

@@ -18,6 +18,7 @@ in :mod:`repro.xmlgl.matcher` that shares the same ordering ideas.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product
@@ -297,6 +298,9 @@ def find_homomorphisms_setwise(
                     for e in edges
                 ],
                 enabled=spec.narrow,
+                # pools and relations are built by a Python loop, so their
+                # items cost as much as a backtracking step
+                item_cost=1.0,
             )
             if costs.engine == "backtracking":
                 decision = "backtracking"
@@ -400,10 +404,6 @@ def _setwise_fallback_reason(
     return None
 
 
-def _setwise_key(candidate: NodeId) -> NodeId:
-    return candidate  # graph node ids are their own identity
-
-
 def _setwise_component(
     nodes: list[NodeId],
     edges: list[Edge],
@@ -411,13 +411,25 @@ def _setwise_component(
     compat: NodeCompat,
     stats: EvalStats,
 ) -> list[dict[NodeId, NodeId]]:
-    """Pools + edge relations + forest evaluation for one component."""
-    pools: dict[NodeId, list[NodeId]] = {}
-    pool_sets: dict[NodeId, set[NodeId]] = {}
+    """Pools + edge relations + forest evaluation for one component.
+
+    Data nodes are numbered by their position in ``data.nodes()``, so each
+    pool is a sorted ``array('i')`` of positions and each edge relation a
+    :class:`~repro.engine.joins.ColumnRelation` — the same int-column
+    representation the XML-GL pipeline runs on.  Assembled rows map back
+    to node ids through the position table.
+    """
+    node_ids = list(data.nodes())
+    position = {node: i for i, node in enumerate(node_ids)}
+    budget = stats.budget
+    pools: dict[NodeId, array] = {}
+    pool_sets: dict[NodeId, set[int]] = {}
     for pnode in nodes:
-        pool = [dnode for dnode in data.nodes() if compat(pnode, dnode)]
-        if stats.budget is not None:
-            stats.budget.charge(max(1, len(pool)))
+        pool = array(
+            "i", (i for i, dnode in enumerate(node_ids) if compat(pnode, dnode))
+        )
+        if budget is not None:
+            budget.charge(max(1, len(pool)))
         if not pool:
             return []
         pools[pnode] = pool
@@ -426,29 +438,38 @@ def _setwise_component(
     for edge in edges:
         # enumerate from the smaller side's adjacency, deduplicating
         # parallel data edges (the relation is a set of pairs)
-        pairs: list[tuple[NodeId, NodeId]] = []
-        seen: set[tuple[NodeId, NodeId]] = set()
+        left = array("i")
+        right = array("i")
+        seen: set[tuple[int, int]] = set()
         if len(pools[edge.source]) <= len(pools[edge.target]):
             target_set = pool_sets[edge.target]
             for source in pools[edge.source]:
-                for target in data.successors(source, edge.label):
+                for node in data.successors(node_ids[source], edge.label):
+                    target = position[node]
                     if target in target_set and (source, target) not in seen:
                         seen.add((source, target))
-                        pairs.append((source, target))
+                        left.append(source)
+                        right.append(target)
         else:
             source_set = pool_sets[edge.source]
             for target in pools[edge.target]:
-                for source in data.predecessors(target, edge.label):
+                for node in data.predecessors(node_ids[target], edge.label):
+                    source = position[node]
                     if source in source_set and (source, target) not in seen:
                         seen.add((source, target))
-                        pairs.append((source, target))
-        relation = relation_for(
-            edge.source, edge.target, pairs, stats, key=_setwise_key
-        )
-        if not relation.pairs:
+                        left.append(source)
+                        right.append(target)
+        if budget is not None:
+            budget.add_rows(len(left))
+        relation = relation_for(edge.source, edge.target, (left, right), stats)
+        if not len(relation):
             return []
         relations.append(relation)
-    return list(evaluate_forest(pools, relations, stats))
+    order, rows = evaluate_forest(pools, relations, stats)
+    return [
+        {var: node_ids[candidate] for var, candidate in zip(order, row)}
+        for row in rows
+    ]
 
 
 def count_homomorphisms(

@@ -94,8 +94,8 @@ class TenantConfig:
         fields; unknown keys are the caller's problem — this method reads
         only the known budget fields plus ``on_limit``.  Returns ``None``
         when neither side sets any ceiling, so unlimited tenants stay
-        genuinely unbudgeted (the session layer treats an explicit
-        ``budget=None`` as "off").
+        genuinely unbudgeted (an ``ExecOptions`` with ``budget=None`` is
+        ungoverned).
         """
         values = {
             name: _tighter(getattr(self, name), request.get(name))

@@ -20,16 +20,15 @@ from __future__ import annotations
 
 import threading
 import time
-import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
-from typing import Any, Mapping, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Mapping, Optional, Sequence, Union
 
 from .engine.cache import DocumentIndexCache, shared_cache
-from .engine.limits import CancelToken, QueryBudget, arm_budget
+from .engine.limits import CancelToken, arm_budget
 from .engine.metrics import MetricsRegistry
 from .engine.mutate import MutationBatch, MutationResult, apply_batch
-from .engine.options import ENGINES
+from .engine.options import ExecOptions
 from .engine.plan_cache import PlanCache, shared_plans
 from .engine.stats import EvalStats
 from .engine.subscribe import Subscription
@@ -38,79 +37,11 @@ from .errors import ReproError
 from .ssd.model import Document
 from .xmlgl.dsl import parse_rule
 from .xmlgl.evaluator import evaluate_rule, lookup_or_compile
-from .xmlgl.matcher import MatchOptions
 from .xmlgl.rule import Rule
 
 __all__ = ["BatchResult", "ExecOptions", "QueryCycle", "QuerySession"]
 
 Sources = Union[Document, Mapping[str, Document]]
-
-
-@dataclass(frozen=True)
-class ExecOptions:
-    """The execution contract of a :class:`QuerySession` call.
-
-    One immutable bundle of every run-time switch — engine selection,
-    rewrite/columnar ablations, tracing and budget — passed as the single
-    keyword-only ``options=`` of :meth:`QuerySession.run`,
-    :meth:`~QuerySession.execute` and :meth:`~QuerySession.run_batch` (and
-    as the session default).  A per-call ``ExecOptions`` replaces the
-    session default *wholesale*: derive from :attr:`QuerySession.defaults`
-    with :func:`dataclasses.replace` to override one field ("this tenant
-    runs unbudgeted" is ``replace(session.defaults, budget=None)``).
-
-    This supersedes the historical trio of ``options=MatchOptions(...)``
-    plus ``trace=`` / ``budget=`` overlay keywords; those still work as
-    deprecated shims (``DeprecationWarning``) and resolve to the same
-    bundle.  Frozen so a bundle can be shared across threads and cached
-    plans without defensive copies.
-    """
-
-    engine: str = "adaptive"
-    rewrite: bool = True
-    columnar: bool = True
-    use_planner: bool = True
-    use_index: bool = True
-    trace: bool = False
-    budget: Optional[QueryBudget] = None
-
-    def __post_init__(self) -> None:
-        if self.engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {self.engine!r}; expected one of {ENGINES}"
-            )
-
-    def match_options(self) -> MatchOptions:
-        """The equivalent engine-level :class:`MatchOptions`."""
-        return MatchOptions(
-            use_planner=self.use_planner,
-            use_index=self.use_index,
-            engine=self.engine,
-            rewrite=self.rewrite,
-            columnar=self.columnar,
-            trace=self.trace,
-            budget=self.budget,
-        )
-
-    @classmethod
-    def from_match_options(cls, options: MatchOptions) -> "ExecOptions":
-        """Lift a legacy :class:`MatchOptions` into the new contract."""
-        return cls(
-            engine=options.engine,
-            rewrite=options.rewrite,
-            columnar=options.columnar,
-            use_planner=options.use_planner,
-            use_index=options.use_index,
-            trace=options.trace,
-            budget=options.budget,
-        )
-
-#: Default for the per-call ``trace=`` / ``budget=`` overrides: distinct
-#: from an explicit ``None`` so callers can *disable* a session-default
-#: budget or tracer for one call (``budget=None`` means "no budget", not
-#: "defer to the session options").  The query service relies on this to
-#: overlay per-tenant budgets — including "unlimited" — on shared sessions.
-_UNSET: Any = object()
 
 
 @dataclass
@@ -166,20 +97,13 @@ class QuerySession:
     def __init__(
         self,
         sources: Sources,
-        options: Optional[Union[ExecOptions, MatchOptions]] = None,
+        options: Optional[ExecOptions] = None,
         indexes: Optional[DocumentIndexCache] = None,
         metrics: Optional[MetricsRegistry] = None,
         plans: Optional[PlanCache] = None,
     ) -> None:
         self._sources = sources
-        # The session default is normalised to ExecOptions; MatchOptions
-        # is accepted here (without a warning — it predates ExecOptions
-        # and is harmless as a default) and lifted.
-        self._options = (
-            ExecOptions.from_match_options(options)
-            if isinstance(options, MatchOptions)
-            else options
-        )
+        self._options = options
         # Indexes come from the process-wide cache by default, so several
         # sessions over one document share a single snapshot; pass a
         # private DocumentIndexCache to isolate (e.g. mutation-heavy use).
@@ -210,69 +134,9 @@ class QuerySession:
 
     # -- running ---------------------------------------------------------------
 
-    def _effective(
-        self,
-        options: Optional[Union[ExecOptions, MatchOptions]],
-        trace: Any,
-        budget: Any,
-    ) -> tuple[Optional[MatchOptions], bool, Optional[QueryBudget]]:
-        """Resolve the per-call options against the session defaults.
-
-        The current contract is one :class:`ExecOptions` bundle that
-        replaces the session default wholesale.  Two deprecated shims are
-        resolved here, each under a ``DeprecationWarning``:
-
-        * ``options=MatchOptions(...)`` is lifted via
-          :meth:`ExecOptions.from_match_options`;
-        * ``trace=`` / ``budget=`` overlay keywords, whose :data:`_UNSET`
-          sentinel distinguishes "omitted" (defer to the options) from an
-          explicit ``None``/``False`` ("off for this call").
-
-        Returns the engine-level :class:`MatchOptions` the matcher layers
-        consume, normalised to the *resolved* tracing/budget decisions.
-        """
-        if isinstance(options, MatchOptions):
-            warnings.warn(
-                "passing MatchOptions to QuerySession.run/execute/run_batch "
-                "is deprecated; pass repro.ExecOptions",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            options = ExecOptions.from_match_options(options)
-        opts = options if options is not None else self._options
-        if trace is _UNSET:
-            tracing = bool(opts.trace) if opts is not None else False
-        else:
-            warnings.warn(
-                "the trace= keyword is deprecated; pass "
-                "ExecOptions(trace=...) (derive from session.defaults)",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            tracing = bool(trace)
-        if budget is _UNSET:
-            effective_budget = opts.budget if opts is not None else None
-        else:
-            warnings.warn(
-                "the budget= keyword is deprecated; pass "
-                "ExecOptions(budget=...) (derive from session.defaults)",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            effective_budget = budget
-        # Normalise the options to the *resolved* decisions: the matcher
-        # layers re-derive tracing/budgets from the options they receive,
-        # so a per-call "off" override must not leave the session flags
-        # visible downstream.
-        if opts is not None and (
-            bool(opts.trace) is not tracing or opts.budget is not effective_budget
-        ):
-            opts = replace(opts, trace=tracing, budget=effective_budget)
-        return (
-            opts.match_options() if opts is not None else None,
-            tracing,
-            effective_budget,
-        )
+    def _effective(self, options: Optional[ExecOptions]) -> ExecOptions:
+        """The per-call bundle, or the session default when omitted."""
+        return options if options is not None else self.defaults
 
     def _execute_one(
         self,
@@ -280,9 +144,7 @@ class QuerySession:
         *,
         parsed: Optional[Rule] = None,
         position: int = 0,
-        opts: Optional[MatchOptions] = None,
-        tracing: bool = False,
-        effective_budget: Optional[QueryBudget] = None,
+        opts: ExecOptions,
         cancel: Optional[CancelToken] = None,
     ) -> BatchResult:
         """Evaluate one query end to end; the shared core of every run path.
@@ -297,9 +159,9 @@ class QuerySession:
         row; anything else (a genuine bug) is recorded, then re-raised.
         """
         stats = EvalStats()
-        if tracing:
+        if opts.trace:
             stats.trace = Tracer()
-        arm_budget(stats, effective_budget, cancel)
+        arm_budget(stats, opts.budget, cancel)
         source_text = query if isinstance(query, str) else None
         rule: Optional[Rule] = parsed if parsed is not None else (
             query if isinstance(query, Rule) else None
@@ -317,12 +179,12 @@ class QuerySession:
                 indexes=self._indexes,
                 stats=stats,
                 plans=self._plans,
-                rewrite=opts.rewrite if opts is not None else True,
+                rewrite=opts.rewrite,
             )
             result = Document(
                 evaluate_rule(
-                    rule, self._sources, options=opts, trace=tracing,
-                    stats=stats, indexes=self._indexes, plan=plan,
+                    rule, self._sources, options=opts, stats=stats,
+                    indexes=self._indexes, plan=plan,
                 )
             )
         except Exception as exc:
@@ -352,9 +214,7 @@ class QuerySession:
         self,
         query: Union[str, Rule],
         *,
-        options: Optional[Union[ExecOptions, MatchOptions]] = None,
-        trace: Optional[bool] = _UNSET,
-        budget: Optional[QueryBudget] = _UNSET,
+        options: Optional[ExecOptions] = None,
         cancel: Optional[CancelToken] = None,
     ) -> Document:
         """Execute a query; it becomes the current cycle.
@@ -363,14 +223,11 @@ class QuerySession:
         cycles (browser semantics).  Returns the result document.
 
         The keyword-only ``options=`` takes one :class:`ExecOptions`
-        bundle — engine, rewrite/columnar switches, tracing, budget — that
-        replaces the session defaults for this cycle (derive from
-        :attr:`defaults` to override a single field).  The historical
-        ``options=MatchOptions(...)`` and the ``trace=`` / ``budget=``
-        overlay keywords still resolve identically but are deprecated
-        shims (``DeprecationWarning``): omitting ``trace``/``budget``
-        defers to the options, passing ``None`` explicitly switches the
-        feature *off* for this call.  The budget
+        bundle — engine, rewrite and planner switches, tracing, budget —
+        that replaces the session defaults for this cycle (derive from
+        :attr:`defaults` to override a single field:
+        ``replace(session.defaults, budget=None)`` runs this cycle
+        unbudgeted).  The budget
         governs the run (its deadline starts here); under
         ``on_limit="raise"`` a tripped limit propagates as
         :class:`~repro.errors.BudgetExceeded` / ``DeadlineExceeded``, under
@@ -382,13 +239,8 @@ class QuerySession:
         session's :meth:`metrics` registry (failures with ``error=True``,
         consistent with ``run_batch`` rows).
         """
-        opts, tracing, effective_budget = self._effective(options, trace, budget)
         row = self._execute_one(
-            query,
-            opts=opts,
-            tracing=tracing,
-            effective_budget=effective_budget,
-            cancel=cancel,
+            query, opts=self._effective(options), cancel=cancel
         )
         if row.error is not None:
             raise row.error
@@ -411,15 +263,13 @@ class QuerySession:
         self,
         query: Union[str, Rule],
         *,
-        options: Optional[Union[ExecOptions, MatchOptions]] = None,
-        trace: Optional[bool] = _UNSET,
-        budget: Optional[QueryBudget] = _UNSET,
+        options: Optional[ExecOptions] = None,
         cancel: Optional[CancelToken] = None,
     ) -> BatchResult:
         """Evaluate one query outside the cycle history; the serving path.
 
         Takes the same keyword-only :class:`ExecOptions` contract as
-        :meth:`run` (with the same deprecated shims).
+        :meth:`run`.
         Same contract as a single :meth:`run_batch` row: every
         :class:`~repro.errors.ReproError` — parse, evaluation, budget —
         is captured on :attr:`BatchResult.error` instead of raising, the
@@ -428,13 +278,8 @@ class QuerySession:
         never read or written, so ``repro.server`` calls this from
         executor worker threads against one shared session per document.
         """
-        opts, tracing, effective_budget = self._effective(options, trace, budget)
         return self._execute_one(
-            query,
-            opts=opts,
-            tracing=tracing,
-            effective_budget=effective_budget,
-            cancel=cancel,
+            query, opts=self._effective(options), cancel=cancel
         )
 
     def run_batch(
@@ -442,9 +287,7 @@ class QuerySession:
         queries: Sequence[Union[str, Rule]],
         *,
         max_workers: Optional[int] = None,
-        options: Optional[Union[ExecOptions, MatchOptions]] = None,
-        trace: Optional[bool] = _UNSET,
-        budget: Optional[QueryBudget] = _UNSET,
+        options: Optional[ExecOptions] = None,
         cancel: Optional[CancelToken] = None,
         executor: str = "thread",
     ) -> list[BatchResult]:
@@ -471,8 +314,7 @@ class QuerySession:
         reflect worker-side, not session-side, cache state.
 
         The keyword-only ``options=`` takes the same :class:`ExecOptions`
-        bundle as :meth:`run` (with the same deprecated shims).  Its
-        budget governs **each row
+        bundle as :meth:`run`.  Its budget governs **each row
         separately**: every row arms its own
         :class:`~repro.engine.limits.BudgetState` when its evaluation
         starts, so one slow row exhausts only its own deadline.  Under
@@ -489,7 +331,7 @@ class QuerySession:
         starts.  A batch does not enter the cycle history — it is a bulk
         measurement, not a refinement step.
 
-        With tracing on (``trace=True``, or the session options' flag),
+        With tracing on (``ExecOptions(trace=True)``),
         every row gets its own :class:`~repro.engine.trace.Tracer` on
         ``BatchResult.trace`` — per-query span trees even under
         concurrency, because the tracer rides on the row's private
@@ -499,7 +341,7 @@ class QuerySession:
             raise ValueError(
                 f"unknown executor {executor!r}; expected 'thread' or 'process'"
             )
-        opts, tracing, effective_budget = self._effective(options, trace, budget)
+        opts = self._effective(options)
         prepared: list[tuple[Rule, Optional[str]]] = []
         for query in queries:
             if isinstance(query, str):
@@ -507,21 +349,18 @@ class QuerySession:
             else:
                 prepared.append((query, None))
         if executor == "process":
-            if tracing:
+            if opts.trace:
                 raise ReproError(
                     "tracing is not supported with executor='process': span "
                     "trees cannot cross the pickle boundary — use "
                     "executor='thread' or trace a single run()"
                 )
-            return self._run_batch_process(
-                prepared, max_workers, opts, effective_budget, cancel
-            )
+            return self._run_batch_process(prepared, max_workers, opts, cancel)
         for document in self._documents():
             self._indexes.get(document)
         # Prewarm the plan cache on the calling thread (throwaway stats):
         # duplicate queries across rows compile once instead of racing, and
         # every row then takes a deterministic plan-cache hit.
-        batch_rewrite = opts.rewrite if opts is not None else True
         for rule, source_text in prepared:
             lookup_or_compile(
                 source_text if source_text is not None else rule,
@@ -530,7 +369,7 @@ class QuerySession:
                 indexes=self._indexes,
                 stats=EvalStats(),
                 plans=self._plans,
-                rewrite=batch_rewrite,
+                rewrite=opts.rewrite,
             )
 
         def evaluate_one(item: tuple[int, tuple[Rule, Optional[str]]]) -> BatchResult:
@@ -544,8 +383,6 @@ class QuerySession:
                 parsed=rule,
                 position=position,
                 opts=opts,
-                tracing=tracing,
-                effective_budget=effective_budget,
                 cancel=cancel,
             )
 
@@ -559,8 +396,7 @@ class QuerySession:
         self,
         prepared: list[tuple[Rule, Optional[str]]],
         max_workers: Optional[int],
-        opts: Optional[MatchOptions],
-        budget: Optional[QueryBudget],
+        opts: ExecOptions,
         cancel: Optional[CancelToken],
     ) -> list[BatchResult]:
         """The ``executor="process"`` arm of :meth:`run_batch`.
@@ -583,7 +419,8 @@ class QuerySession:
         ]
         sharded = ShardedExecutor(max_workers=max_workers)
         outcomes = sharded.run_batch(
-            texts, self._sources, options=opts, budget=budget, cancel=cancel
+            texts, self._sources, options=opts, budget=opts.budget,
+            cancel=cancel,
         )
         # Realign by task position before pairing with ``prepared``: the
         # zip below would otherwise attach stats/errors to the wrong row
@@ -686,7 +523,7 @@ class QuerySession:
         self,
         query: Union[str, Rule],
         *,
-        options: Optional[Union[ExecOptions, MatchOptions]] = None,
+        options: Optional[ExecOptions] = None,
     ) -> Subscription:
         """Register ``query`` as a continuous query over this session.
 
@@ -699,19 +536,10 @@ class QuerySession:
         takes the same :class:`ExecOptions` bundle as :meth:`run` and
         defaults to the session options.
         """
-        if isinstance(options, MatchOptions):
-            warnings.warn(
-                "passing MatchOptions to QuerySession.subscribe is "
-                "deprecated; pass repro.ExecOptions",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            options = ExecOptions.from_match_options(options)
-        opts = options if options is not None else self._options
         subscription = Subscription(
             query,
             self._sources,
-            options=opts.match_options() if opts is not None else None,
+            options=options if options is not None else self._options,
             indexes=self._indexes,
             plans=self._plans,
         )
@@ -771,7 +599,7 @@ class QuerySession:
             rule = query
         return explain_rule(
             rule, self._sources,
-            options=self._options.match_options() if self._options else None,
+            options=self._options,
             indexes=self._indexes, plans=self._plans,
         )
 

@@ -22,7 +22,7 @@ from typing import Any, Hashable, Optional
 from ..engine.bindings import Binding, BindingSet
 from ..engine.conditions import condition_variables
 from ..engine.limits import QueryBudget, arm_budget, mark_truncated
-from ..engine.options import MatchOptions
+from ..engine.options import ExecOptions
 from ..engine.stats import EvalStats
 from ..engine.trace import Tracer, span as trace_span
 from ..errors import BudgetExceeded, QueryStructureError, SchemaError
@@ -97,7 +97,7 @@ def embeddings(
     stats: Optional[EvalStats] = None,
     preflight: bool = True,
     *,
-    options: Optional[MatchOptions] = None,
+    options: Optional[ExecOptions] = None,
     trace: Optional[bool] = None,
     budget: Optional[QueryBudget] = None,
 ) -> BindingSet:
@@ -130,7 +130,7 @@ def embeddings(
     rule.validate()
     if schema is not None:
         check_against_schema(rule, schema)
-    options = options or MatchOptions()
+    options = options or ExecOptions()
     stats = stats if stats is not None else EvalStats()
     tracing = trace if trace is not None else options.trace
     if tracing and stats.trace is None:
@@ -162,7 +162,7 @@ def embeddings(
 
     core_ids, fragments = _split_negation(rule)
     pattern, spec_edges = _red_pattern(rule, core_ids)
-    engine = options.resolved_engine()
+    engine = options.engine
     spec = MatchSpec(
         injective=injective,
         node_compat=_compat(rule, instance),

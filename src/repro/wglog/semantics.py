@@ -60,7 +60,7 @@ def query(
     Accepts the unified keyword-only ``options=`` / ``trace=`` /
     ``budget=`` run contract (see
     :func:`repro.xmlgl.evaluator.evaluate_rule` — identical semantics and
-    defaults): ``options`` (a :class:`~repro.engine.options.MatchOptions`)
+    defaults): ``options`` (a :class:`~repro.engine.options.ExecOptions`)
     selects the evaluation engine, ``trace`` overrides its trace flag, and
     ``budget`` (a :class:`~repro.engine.limits.QueryBudget`) governs the
     run — raising typed errors or returning a truncated binding set

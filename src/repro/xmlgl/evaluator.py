@@ -17,12 +17,14 @@ to one execution.
 from __future__ import annotations
 
 import hashlib
+from dataclasses import replace
 from typing import Mapping, Optional, Union
 
 from ..engine.bindings import BindingSet
 from ..engine.cache import DocumentIndexCache, shared_cache
 from ..engine.conditions import DocumentAccessor
 from ..engine.limits import QueryBudget, arm_budget, mark_truncated, truncate_element
+from ..engine.options import ExecOptions
 from ..engine.plan_cache import CompiledPlan, PlanCache, shared_plans
 from ..engine.stats import EvalStats
 from ..engine.trace import Tracer, span as trace_span
@@ -30,7 +32,7 @@ from ..errors import BudgetExceeded, EvaluationError
 from ..ssd.model import Document, Element
 from .ast import QueryGraph
 from .construct import build
-from .matcher import MatchOptions, compile_graph, match
+from .matcher import compile_graph, match
 from .rule import Program, Rule
 
 __all__ = [
@@ -260,7 +262,7 @@ def rule_bindings(
     rule: Rule,
     sources: Sources,
     *,
-    options: Optional[MatchOptions] = None,
+    options: Optional[ExecOptions] = None,
     trace: Optional[bool] = None,
     budget: Optional[QueryBudget] = None,
     stats: Optional[EvalStats] = None,
@@ -270,12 +272,15 @@ def rule_bindings(
 ) -> BindingSet:
     """Matched and joined bindings of a rule (before construction).
 
-    The keyword-only ``options=`` / ``trace=`` / ``budget=`` trio is the
-    unified run contract shared with :func:`evaluate_rule`,
+    The keyword-only ``options=`` :class:`~repro.engine.options.ExecOptions`
+    bundle is the run contract shared with :func:`evaluate_rule`,
     :meth:`repro.session.QuerySession.run` and WG-Log's
-    :func:`~repro.wglog.semantics.query`: ``trace`` overrides
-    ``options.trace`` for this call, ``budget`` overrides
-    ``options.budget``, and both default to deferring to the options.
+    :func:`~repro.wglog.semantics.query`.  ``trace`` overrides
+    ``options.trace`` for this call and ``budget`` overrides
+    ``options.budget``; both default to deferring to the options.  They
+    are resolved once here and the matcher receives the resolved bundle,
+    so ``trace=False`` switches tracing off even when the options ask
+    for it.
 
     ``indexes`` is the :class:`~repro.engine.cache.DocumentIndexCache` to
     reuse :class:`DocumentIndex` snapshots from; it defaults to the shared
@@ -293,14 +298,13 @@ def rule_bindings(
     compilation are skipped in favour of the cached analysis.
     """
     stats = stats if stats is not None else EvalStats()
-    tracing = trace if trace is not None else (
-        options.trace if options is not None else False
-    )
+    options = options or ExecOptions()
+    tracing = bool(trace) if trace is not None else options.trace
+    effective_budget = budget if budget is not None else options.budget
+    if tracing != options.trace or effective_budget is not options.budget:
+        options = replace(options, trace=tracing, budget=effective_budget)
     if tracing and stats.trace is None:
         stats.trace = Tracer()
-    effective_budget = budget if budget is not None else (
-        options.budget if options is not None else None
-    )
     # Arm here (not in match) so one deadline spans preflight-to-construct.
     arm_budget(stats, effective_budget)
     if plan is not None:
@@ -332,7 +336,7 @@ def rule_bindings(
             "match",
             graph=position,
             source=graph.source or "-",
-            engine=(options or MatchOptions()).resolved_engine(),
+            engine=options.engine,
             language="xmlgl",
         ) as match_span:
             bindings = match(
@@ -360,7 +364,7 @@ def evaluate_rule(
     rule: Rule,
     sources: Sources,
     *,
-    options: Optional[MatchOptions] = None,
+    options: Optional[ExecOptions] = None,
     trace: Optional[bool] = None,
     budget: Optional[QueryBudget] = None,
     stats: Optional[EvalStats] = None,
@@ -424,7 +428,7 @@ def evaluate_program(
     program: Program,
     sources: Sources,
     *,
-    options: Optional[MatchOptions] = None,
+    options: Optional[ExecOptions] = None,
     trace: Optional[bool] = None,
     budget: Optional[QueryBudget] = None,
     stats: Optional[EvalStats] = None,
@@ -436,7 +440,7 @@ def evaluate_program(
     result to the rules after it as a source document of that name.
 
     Each rule is compiled through :func:`compile_plan` first, so the
-    static rewrite layer applies (disable with ``options.rewrite=False`` /
+    static rewrite layer applies (disable with ``ExecOptions(rewrite=False)`` /
     ``repro run --no-rewrite``) and evaluation runs the rewritten rule.
     """
     indexes = shared_cache

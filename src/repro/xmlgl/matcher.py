@@ -30,7 +30,7 @@ repeated queries (through the plan cache,
 :mod:`repro.engine.plan_cache`) skip the analysis entirely.  Document-
 dependent state (candidate pools) is prepared per evaluation.
 
-Four engines share this module (``MatchOptions.engine``):
+Four engines share this module (``ExecOptions.engine``):
 
 * ``"adaptive"`` (default) runs the pipeline's fragment loop but decides
   **per fragment** between set-at-a-time and backtracking evaluation by
@@ -68,7 +68,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from ..engine.bindings import Binding, BindingSet
 from ..engine.columns import containment_count, containment_pairs, direct_pairs
@@ -89,16 +89,19 @@ from ..engine.index import DocumentIndex
 from ..engine.joins import equijoin_key
 from ..engine.limits import arm_budget, mark_truncated
 from ..engine.narrowing import intersect_pools
-from ..engine.options import MatchOptions
+from ..engine.options import ExecOptions
 from ..engine.pipeline import (
-    column_relation_for,
     connected_components,
     evaluate_forest,
-    evaluate_forest_columns,
     is_forest,
     relation_for,
 )
-from ..engine.planner import FragmentCosts, choose_fragment_engine, plan_order
+from ..engine.planner import (
+    KERNEL_ITEM_COST,
+    FragmentCosts,
+    choose_fragment_engine,
+    plan_order,
+)
 from ..engine.stats import EvalStats
 from ..engine.trace import Tracer, span as trace_span
 from ..errors import BudgetExceeded, QueryStructureError
@@ -111,7 +114,7 @@ from .ast import (
     TextPattern,
 )
 
-__all__ = ["CompiledGraphPlan", "MatchOptions", "compile_graph", "match"]
+__all__ = ["CompiledGraphPlan", "compile_graph", "match"]
 
 _ACCESSOR = DocumentAccessor()
 
@@ -119,7 +122,7 @@ _ACCESSOR = DocumentAccessor()
 def match(
     graph: QueryGraph,
     document: Document,
-    options: Optional[MatchOptions] = None,
+    options: Optional[ExecOptions] = None,
     index: Optional[DocumentIndex] = None,
     stats: Optional[EvalStats] = None,
     plan: Optional["CompiledGraphPlan"] = None,
@@ -139,13 +142,13 @@ def match(
     """
     if plan is None:
         plan = compile_graph(graph)
-    options = options or MatchOptions()
+    options = options or ExecOptions()
     stats = stats if stats is not None else EvalStats()
     if options.trace and stats.trace is None:
         stats.trace = Tracer()
     budget = arm_budget(stats, options.budget)
     index = index or DocumentIndex(document)
-    engine = options.resolved_engine()
+    engine = options.engine
 
     results = BindingSet()
     with stats.timed():
@@ -494,17 +497,14 @@ class _Prep:
     branch: _BranchPlan
     document: Document
     index: DocumentIndex
-    options: MatchOptions
+    options: ExecOptions
     stats: EvalStats
     static_candidates: dict[str, list[Element]]
     use_intervals: bool = True
-    #: Run coverable fragments on the columnar kernels (pre-id pools,
-    #: :mod:`repro.engine.columns`).  Requires the interval index.
-    use_columns: bool = True
     #: Lazy caches: membership id-sets feed only the backtracking core and
-    #: pre columns only the columnar pipeline, so neither is built until an
-    #: engine actually asks (a pure-pipeline run never pays for sets, a
-    #: pure-backtracking run never pays for columns).
+    #: pre columns only the set-at-a-time pipeline, so neither is built
+    #: until an engine actually asks (a pure-pipeline run never pays for
+    #: sets, a pure-backtracking run never pays for columns).
     _static_sets: dict[str, set[int]] = field(default_factory=dict, repr=False)
     _static_pres: dict[str, Sequence[int]] = field(default_factory=dict, repr=False)
 
@@ -572,13 +572,13 @@ def _prepare(
     branch: _BranchPlan,
     document: Document,
     index: DocumentIndex,
-    options: MatchOptions,
+    options: ExecOptions,
     stats: EvalStats,
 ) -> Optional[_Prep]:
     """Bind one compiled branch to a document; ``None`` when some box's
     pool is empty (the branch cannot bind anything)."""
     graph = branch.graph
-    use_intervals = not options.scans_only()
+    use_intervals = options.engine != "naive"
     static_candidates: dict[str, list[Element]] = {}
     for node_id in branch.element_ids:
         pool = _static_candidates(
@@ -614,7 +614,6 @@ def _prepare(
         stats=stats,
         static_candidates=static_candidates,
         use_intervals=use_intervals,
-        use_columns=use_intervals and options.columnar,
     )
 
 
@@ -858,18 +857,9 @@ def _match_pipeline(prep: _Prep, adaptive: bool = False) -> Iterator[Binding]:
                 if adaptive:
                     stats.bump("adaptive_pipeline")
                 stats.pipeline_fragments += 1
-                setwise = (
-                    _setwise_fragment_columns
-                    if prep.use_columns
-                    else _setwise_fragment
-                )
-                if fragment_span is not None:
-                    fragment_span["kernel"] = (
-                        "columnar" if prep.use_columns else "tuple"
-                    )
                 rows_before = 0 if stats.budget is None else stats.budget.rows
                 try:
-                    rows = setwise(
+                    rows = _setwise_fragment(
                         prep, ids, edges, values_by_parent, pushed
                     )
                 except BudgetExceeded as exc:
@@ -1088,7 +1078,7 @@ def _adaptive_decision(
         pool_sizes,
         edge_estimates,
         enabled=prep.options.use_planner,
-        columnar=prep.use_columns,
+        item_cost=KERNEL_ITEM_COST,
     )
 
 
@@ -1144,77 +1134,16 @@ def _setwise_fragment(
 ) -> list[dict[str, object]]:
     """Evaluate one acyclic fragment set-at-a-time.
 
-    Pools are filtered by required circles and pushed-down predicates,
-    edge relations materialised from the cheaper side (cost-estimated from
-    the interval index), then reduced and hash-joined by
-    :func:`repro.engine.pipeline.evaluate_forest`.
-    """
-    graph, stats = prep.graph, prep.stats
-    tracer = stats.trace
-    pools: dict[str, list[Element]] = {}
-    value_rows: dict[str, dict[int, dict[str, str]]] = {}
-    with trace_span(tracer, "fragment.pools") as pools_span:
-        for node_id in ids:
-            pool, values = _filtered_pool(
-                prep,
-                node_id,
-                values_by_parent.get(node_id, ()),
-                pushed.get(node_id, ()),
-            )
-            if pools_span is not None:
-                pools_span.attributes.setdefault("sizes", {})[node_id] = len(pool)
-            if not pool:
-                return []
-            pools[node_id] = pool
-            value_rows[node_id] = values
-
-    relations = []
-    with trace_span(tracer, "fragment.relations") as relations_span:
-        for edge in edges:
-            relation = relation_for(
-                edge.parent, edge.child, _edge_pairs(prep, edge, pools), stats, key=id
-            )
-            if relations_span is not None:
-                relations_span.attributes.setdefault("pairs", {})[
-                    f"{edge.parent}-{edge.child}"
-                ] = len(relation)
-            if not relation.pairs:
-                return []
-            relations.append(relation)
-
-    rows: list[dict[str, object]] = []
-    for assignment in evaluate_forest(
-        pools, relations, stats, planner_enabled=prep.options.use_planner
-    ):
-        row: dict[str, object] = dict(assignment)
-        for node_id in ids:
-            extra = value_rows[node_id].get(id(assignment[node_id]))
-            if extra:
-                row.update(extra)
-        rows.append(row)
-    return rows
-
-
-def _setwise_fragment_columns(
-    prep: _Prep,
-    ids: list[str],
-    edges: list[ContainmentEdge],
-    values_by_parent: dict[str, list[ContainmentEdge]],
-    pushed: dict[str, list[Condition]],
-) -> list[dict[str, object]]:
-    """Evaluate one acyclic fragment on the columnar kernels.
-
-    The columnar twin of :func:`_setwise_fragment`: pools become sorted
-    ``pre``-id columns as soon as circle/predicate filtering is done,
-    relations are materialised by the interval kernels
-    (:mod:`repro.engine.columns`) instead of per-candidate enumeration,
-    and node objects are looked up in the index's ``pre -> element`` side
-    table only for the surviving assembled rows.
+    Pools are filtered by required circles and pushed-down predicates and
+    become sorted ``pre``-id columns; edge relations are materialised by
+    the interval kernels (:mod:`repro.engine.columns`), then reduced and
+    hash-joined by :func:`repro.engine.pipeline.evaluate_forest`.  Node
+    objects are looked up in the index's ``pre -> element`` side table
+    only for the surviving assembled rows.
     """
     stats, index = prep.stats, prep.index
     tracer = stats.trace
     budget = stats.budget
-    stats.bump("columnar_fragments")
     pools: dict[str, Sequence[int]] = {}
     value_rows: dict[str, dict[int, dict[str, str]]] = {}
     with trace_span(tracer, "fragment.pools") as pools_span:
@@ -1244,9 +1173,8 @@ def _setwise_fragment_columns(
     relations = []
     with trace_span(tracer, "fragment.relations") as relations_span:
         for edge in edges:
-            relation = column_relation_for(
-                edge.parent, edge.child, _column_edge_pairs(prep, edge, pools),
-                stats,
+            relation = relation_for(
+                edge.parent, edge.child, _edge_pairs(prep, edge, pools), stats
             )
             if relations_span is not None:
                 relations_span.attributes.setdefault("pairs", {})[
@@ -1256,7 +1184,7 @@ def _setwise_fragment_columns(
                 return []
             relations.append(relation)
 
-    order, int_rows = evaluate_forest_columns(
+    order, int_rows = evaluate_forest(
         pools, relations, stats, planner_enabled=prep.options.use_planner
     )
     table = index.element_table()
@@ -1273,7 +1201,7 @@ def _setwise_fragment_columns(
     return rows
 
 
-def _column_edge_pairs(
+def _edge_pairs(
     prep: _Prep, edge: ContainmentEdge, pools: dict[str, Sequence[int]]
 ) -> tuple[Sequence[int], Sequence[int]]:
     """Column pairs satisfying one containment arc (sorted pre columns).
@@ -1343,57 +1271,6 @@ def _filtered_pool(
             del row[node_id]
             values[id(element)] = row  # type: ignore[assignment]
     return pool, values
-
-
-def _edge_pairs(
-    prep: _Prep, edge: ContainmentEdge, pools: dict[str, list[Element]]
-) -> Iterator[tuple[Element, Element]]:
-    """Candidate pairs satisfying one containment arc.
-
-    Direct arcs probe each child's parent pointer (O(child pool)).  Deep
-    arcs are enumerated from whichever side the interval index estimates
-    cheaper: per-parent descendant slices (bisect ranges) versus per-child
-    ancestor walks.
-    """
-    parent_pool = pools[edge.parent]
-    child_pool = pools[edge.child]
-    index, stats = prep.index, prep.stats
-    budget = stats.budget
-    if not edge.deep:
-        parent_ids = {id(e) for e in parent_pool}
-        for child in child_pool:
-            parent = child.parent
-            if isinstance(parent, Element) and id(parent) in parent_ids:
-                yield (parent, child)
-        return
-
-    tag = prep.graph.nodes[edge.child].tag
-    # Cost estimates from the index: slices cost their output, ancestor
-    # walks cost their depth.
-    parent_cost = sum(index.tag_count_within(p, tag) for p in parent_pool)
-    child_cost = sum(index.depth(c) for c in child_pool)
-    if parent_cost <= child_cost:
-        child_ids = {id(c) for c in child_pool}
-        for parent in parent_pool:
-            stats.interval_lookups += 1
-            descendants = (
-                index.descendants_with_tag(parent, tag)
-                if tag is not None
-                else index.descendants(parent)
-            )
-            for child in descendants:
-                if budget is not None:
-                    budget.charge()
-                if id(child) in child_ids:
-                    yield (parent, child)
-    else:
-        parent_ids = {id(p) for p in parent_pool}
-        for child in child_pool:
-            for ancestor in child.ancestors():
-                if budget is not None:
-                    budget.charge()
-                if id(ancestor) in parent_ids:
-                    yield (ancestor, child)
 
 
 def _combine_fragments(
@@ -1508,7 +1385,7 @@ def _static_candidates(
     node: ElementPattern,
     document: Document,
     index: DocumentIndex,
-    options: MatchOptions,
+    options: ExecOptions,
     stats: EvalStats,
     required_attributes: list[str],
 ) -> list[Element]:
@@ -1519,7 +1396,7 @@ def _static_candidates(
         if node.tag is not None and root.tag != node.tag:
             return []
         return [root]
-    if options.scans_only():
+    if options.engine == "naive":
         stats.full_scans += 1
         if node.tag is None:
             return list(document.iter())

@@ -21,7 +21,6 @@ EXPECTED_SURFACE = [
     "EvalStats",
     "ExecOptions",
     "Explanation",
-    "MatchOptions",
     "MetricsRegistry",
     "MutationBatch",
     "MutationResult",
@@ -64,16 +63,16 @@ def test_every_name_resolves():
 
 def test_acceptance_import_line():
     # The exact import the acceptance criteria names.
-    from repro import MatchOptions, QueryBudget, QuerySession, explain
+    from repro import ExecOptions, QueryBudget, QuerySession, explain
 
-    assert QuerySession and MatchOptions and QueryBudget and explain
+    assert QuerySession and ExecOptions and QueryBudget and explain
 
 
 def test_facade_names_are_the_implementations():
     from repro.analysis import Diagnostic
     from repro.engine.limits import CancelToken, QueryBudget
     from repro.engine.mutate import MutationBatch
-    from repro.engine.options import MatchOptions
+    from repro.engine.options import ExecOptions as EngineExecOptions
     from repro.engine.subscribe import Subscription
     from repro.explain import explain
     from repro.session import ExecOptions
@@ -82,14 +81,13 @@ def test_facade_names_are_the_implementations():
 
     assert repro.QueryBudget is QueryBudget
     assert repro.CancelToken is CancelToken
-    assert repro.MatchOptions is MatchOptions
     assert repro.explain is explain
     assert repro.evaluate_rule is evaluate_rule
     assert repro.wglog_query is query
     assert repro.Diagnostic is Diagnostic
     assert repro.MutationBatch is MutationBatch
     assert repro.Subscription is Subscription
-    assert repro.ExecOptions is ExecOptions
+    assert repro.ExecOptions is ExecOptions is EngineExecOptions
 
 
 def test_unknown_attribute_raises():

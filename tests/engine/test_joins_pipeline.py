@@ -1,9 +1,11 @@
 """Unit tests for the set-at-a-time join layer (joins.py + pipeline.py)."""
 
+from array import array
+
 import pytest
 
 from repro.engine.joins import (
-    EdgeRelation,
+    ColumnRelation,
     equijoin_key,
     join_forest,
     semijoin_reduce,
@@ -15,6 +17,27 @@ from repro.engine.pipeline import (
     relation_for,
 )
 from repro.engine.stats import EvalStats
+
+
+def col(*values):
+    return array("i", values)
+
+
+def rel(left_var, right_var, pairs, stats=None):
+    """A relation from ``(left, right)`` int pairs, optionally tallied."""
+    left = col(*(pair[0] for pair in pairs))
+    right = col(*(pair[1] for pair in pairs))
+    if stats is None:
+        return ColumnRelation(left_var, right_var, left, right)
+    return relation_for(left_var, right_var, (left, right), stats)
+
+
+def pair_list(relation):
+    return list(zip(relation.left, relation.right))
+
+
+def as_dicts(order, rows):
+    return [dict(zip(order, row)) for row in rows]
 
 
 class TestEquijoinKey:
@@ -34,40 +57,44 @@ class TestEquijoinKey:
 
 
 class TestEdgeRelation:
+    """The relation of one pattern edge: a :class:`ColumnRelation`."""
+
     def relation(self):
-        return EdgeRelation("a", "b", [(1, 10), (1, 11), (2, 10)], key=lambda x: x)
+        return rel("a", "b", [(1, 10), (1, 11), (2, 10)])
 
     def test_len_vars_other(self):
-        rel = self.relation()
-        assert len(rel) == 3
-        assert rel.vars() == ("a", "b")
-        assert rel.other("a") == "b"
-        assert rel.other("b") == "a"
+        relation = self.relation()
+        assert len(relation) == 3
+        assert (relation.left_var, relation.right_var) == ("a", "b")
+        assert list(relation.side("a")) == [1, 1, 2]
+        assert list(relation.side("b")) == [10, 11, 10]
+        assert relation.other("a") == "b"
+        assert relation.other("b") == "a"
 
     def test_by_side_groups_partners(self):
-        rel = self.relation()
-        assert rel.by_side("a") == {1: [10, 11], 2: [10]}
-        assert rel.by_side("b") == {10: [1, 2], 11: [1]}
+        relation = self.relation()
+        assert relation.partners("a") == {1: [10, 11], 2: [10]}
+        assert relation.partners("b") == {10: [1, 2], 11: [1]}
 
     def test_restrict_drops_and_invalidates(self):
-        rel = self.relation()
-        rel.by_side("a")  # build the lazy grouping, then invalidate it
-        removed = rel.restrict(left_keys={1}, right_keys={10})
+        relation = self.relation()
+        relation.partners("a")  # build the lazy grouping, then invalidate it
+        removed = relation.restrict({1}, {10})
         assert removed == 2
-        assert rel.pairs == [(1, 10)]
-        assert rel.by_side("a") == {1: [10]}
+        assert pair_list(relation) == [(1, 10)]
+        assert relation.partners("a") == {1: [10]}
 
-    def test_restrict_none_means_no_filter(self):
-        rel = self.relation()
-        assert rel.restrict() == 0
-        assert rel.restrict(left_keys={1}) == 1
+    def test_restrict_full_pools_is_a_no_op(self):
+        relation = self.relation()
+        assert relation.restrict({1, 2}, {10, 11}) == 0
+        assert relation.restrict({1}, {10, 11}) == 1
 
 
 def chain_setup():
     """a -> b -> c chain with one dangling candidate at each level."""
-    pools = {"a": [1, 2], "b": [10, 11, 12], "c": [100]}
-    r_ab = EdgeRelation("a", "b", [(1, 10), (2, 11), (2, 12)], key=lambda x: x)
-    r_bc = EdgeRelation("b", "c", [(10, 100)], key=lambda x: x)
+    pools = {"a": col(1, 2), "b": col(10, 11, 12), "c": col(100)}
+    r_ab = rel("a", "b", [(1, 10), (2, 11), (2, 12)])
+    r_bc = rel("b", "c", [(10, 100)])
     order = ["a", "b", "c"]
     parent_of = {"b": ("a", r_ab), "c": ("b", r_bc)}
     return pools, [r_ab, r_bc], order, parent_of
@@ -79,7 +106,9 @@ class TestSemijoinReduce:
         stats = EvalStats()
         assert semijoin_reduce(pools, relations, order, parent_of, stats)
         # only a=1, b=10, c=100 survive: 2/11/12 reach no c
-        assert pools == {"a": [1], "b": [10], "c": [100]}
+        assert {var: list(pool) for var, pool in pools.items()} == {
+            "a": [1], "b": [10], "c": [100],
+        }
         assert stats.semijoins > 0
         # dropped: b=11 and b=12 (no c partner), then a=2 (its b's are gone)
         assert stats.semijoin_dropped == 3
@@ -87,12 +116,12 @@ class TestSemijoinReduce:
             assert all(
                 left in pools[relation.left_var]
                 and right in pools[relation.right_var]
-                for left, right in relation.pairs
+                for left, right in pair_list(relation)
             )
 
     def test_empty_pool_reports_no_results(self):
         pools, relations, order, parent_of = chain_setup()
-        pools["c"] = []  # no c candidate at all
+        pools["c"] = col()  # no c candidate at all
         assert not semijoin_reduce(pools, relations, order, parent_of, EvalStats())
 
 
@@ -101,19 +130,17 @@ class TestJoinForest:
         pools, relations, order, parent_of = chain_setup()
         stats = EvalStats()
         assert semijoin_reduce(pools, relations, order, parent_of, stats)
-        rows = list(join_forest(pools, order, parent_of, stats))
-        assert rows == [{"a": 1, "b": 10, "c": 100}]
+        rows = join_forest(pools, order, parent_of, stats)
+        assert rows == [[1, 10, 100]]
         assert stats.hashjoin_rows > 0
 
     def test_roots_cross_product(self):
-        pools = {"a": [1, 2], "b": [10, 11]}
-        rows = list(join_forest(pools, ["a", "b"], {}, EvalStats()))
-        assert sorted((r["a"], r["b"]) for r in rows) == [
-            (1, 10), (1, 11), (2, 10), (2, 11),
-        ]
+        pools = {"a": col(1, 2), "b": col(10, 11)}
+        rows = join_forest(pools, ["a", "b"], {}, EvalStats())
+        assert sorted(map(tuple, rows)) == [(1, 10), (1, 11), (2, 10), (2, 11)]
 
     def test_empty_root_pool_yields_nothing(self):
-        assert list(join_forest({"a": []}, ["a"], {}, EvalStats())) == []
+        assert join_forest({"a": col()}, ["a"], {}, EvalStats()) == []
 
 
 class TestForestHelpers:
@@ -142,68 +169,59 @@ class TestForestHelpers:
 class TestEvaluateForest:
     def test_chain_query(self):
         stats = EvalStats()
-        pools = {"a": [1, 2], "b": [10, 11, 12], "c": [100]}
+        pools = {"a": col(1, 2), "b": col(10, 11, 12), "c": col(100)}
         relations = [
-            relation_for(
-                "a", "b", [(1, 10), (2, 11), (2, 12)], stats, key=lambda x: x
-            ),
-            relation_for("b", "c", [(10, 100)], stats, key=lambda x: x),
+            rel("a", "b", [(1, 10), (2, 11), (2, 12)], stats),
+            rel("b", "c", [(10, 100)], stats),
         ]
-        rows = list(evaluate_forest(pools, relations, stats))
-        assert rows == [{"a": 1, "b": 10, "c": 100}]
+        order, rows = evaluate_forest(pools, relations, stats)
+        assert as_dicts(order, rows) == [{"a": 1, "b": 10, "c": 100}]
         assert stats.relation_pairs == 4
         assert stats.edge_checks == 2
 
     def test_planner_off_agrees_with_planner_on(self):
-        def build():
+        def run(planner_enabled):
             stats = EvalStats()
-            pools = {"a": [1, 2], "b": [10, 11], "c": [100, 101]}
+            pools = {"a": col(1, 2), "b": col(10, 11), "c": col(100, 101)}
             relations = [
-                relation_for(
-                    "b", "a", [(10, 1), (11, 2)], stats, key=lambda x: x
-                ),
-                relation_for(
-                    "b", "c", [(10, 100), (10, 101)], stats, key=lambda x: x
-                ),
+                rel("b", "a", [(10, 1), (11, 2)], stats),
+                rel("b", "c", [(10, 100), (10, 101)], stats),
             ]
-            return pools, relations, stats
+            order, rows = evaluate_forest(
+                pools, relations, stats, planner_enabled=planner_enabled
+            )
+            return sorted(
+                tuple(sorted(row.items())) for row in as_dicts(order, rows)
+            )
 
-        pools, relations, stats = build()
-        planned = sorted(
-            tuple(sorted(r.items())) for r in evaluate_forest(pools, relations, stats)
-        )
-        pools, relations, stats = build()
-        unplanned = sorted(
-            tuple(sorted(r.items()))
-            for r in evaluate_forest(pools, relations, stats, planner_enabled=False)
-        )
-        assert planned == unplanned == [
+        assert run(True) == run(False) == [
             (("a", 1), ("b", 10), ("c", 100)),
             (("a", 1), ("b", 10), ("c", 101)),
         ]
 
     def test_disconnected_trees_cross_product(self):
         stats = EvalStats()
-        pools = {"a": [1], "b": [10], "x": [7, 8]}
-        relations = [relation_for("a", "b", [(1, 10)], stats, key=lambda x: x)]
-        rows = list(evaluate_forest(pools, relations, stats))
-        assert sorted((r["a"], r["b"], r["x"]) for r in rows) == [
-            (1, 10, 7), (1, 10, 8),
-        ]
+        pools = {"a": col(1), "b": col(10), "x": col(7, 8)}
+        relations = [rel("a", "b", [(1, 10)], stats)]
+        order, rows = evaluate_forest(pools, relations, stats)
+        assert sorted(
+            (r["a"], r["b"], r["x"]) for r in as_dicts(order, rows)
+        ) == [(1, 10, 7), (1, 10, 8)]
 
     def test_cyclic_structure_raises(self):
         stats = EvalStats()
-        pools = {"a": [1], "b": [2], "c": [3]}
+        pools = {"a": col(1), "b": col(2), "c": col(3)}
         relations = [
-            relation_for("a", "b", [(1, 2)], stats, key=lambda x: x),
-            relation_for("b", "c", [(2, 3)], stats, key=lambda x: x),
-            relation_for("c", "a", [(3, 1)], stats, key=lambda x: x),
+            rel("a", "b", [(1, 2)], stats),
+            rel("b", "c", [(2, 3)], stats),
+            rel("c", "a", [(3, 1)], stats),
         ]
         with pytest.raises(ValueError, match="cyclic"):
-            list(evaluate_forest(pools, relations, stats))
+            evaluate_forest(pools, relations, stats)
 
     def test_empty_relation_short_circuits(self):
         stats = EvalStats()
-        pools = {"a": [1], "b": [10]}
-        relations = [relation_for("a", "b", [], stats, key=lambda x: x)]
-        assert list(evaluate_forest(pools, relations, stats)) == []
+        pools = {"a": col(1), "b": col(10)}
+        relations = [rel("a", "b", [], stats)]
+        assert evaluate_forest(pools, relations, stats)[1] == []
+        assert stats.hashjoin_rows == 0

@@ -5,7 +5,7 @@ import pytest
 
 from repro.engine.cache import DocumentIndexCache
 from repro.engine.plan_cache import CompiledPlan, PlanCache
-from repro.session import QuerySession
+from repro.session import ExecOptions, QuerySession
 from repro.ssd import parse_document
 from repro.ssd.model import Element
 
@@ -77,7 +77,7 @@ def session(caches):
 
 class TestSessionWiring:
     def test_repeat_run_hits_and_skips_parse(self, session):
-        session.run(QUERY, trace=True)
+        session.run(QUERY, options=ExecOptions(trace=True))
         cold = session.current()
         assert cold.stats.plan_cache_misses == 1
         assert cold.stats.plan_cache_hits == 0
@@ -85,7 +85,7 @@ class TestSessionWiring:
         assert cold.trace.find("plan.cache.compile")
         assert cold.trace.find("plan.cache.miss")
 
-        session.run(QUERY, trace=True)
+        session.run(QUERY, options=ExecOptions(trace=True))
         warm = session.current()
         assert warm.stats.plan_cache_hits == 1
         assert warm.stats.plan_cache_misses == 0
@@ -153,10 +153,10 @@ class TestSessionWiring:
         assert warm.result.text_content() == cold.result.text_content()
 
     def test_rewrite_off_keys_do_not_alias(self, session, caches):
-        from repro import MatchOptions
+        from repro import ExecOptions
 
         _, plans = caches
-        raw = MatchOptions(rewrite=False)
+        raw = ExecOptions(rewrite=False)
         session.run(QUERY, options=raw)
         assert session.current().stats.plan_cache_misses == 1
         session.run(QUERY, options=raw)

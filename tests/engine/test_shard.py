@@ -17,7 +17,7 @@ from repro.engine.cache import shared_cache
 from repro.engine.estimator import balanced_partition
 from repro.engine.limits import CancelToken, QueryBudget
 from repro.engine.metrics import global_registry
-from repro.engine.options import MatchOptions
+from repro.engine.options import ExecOptions
 from repro.engine.plan_cache import shared_plans
 from repro.engine.shard import (
     CorpusRun,
@@ -194,16 +194,18 @@ class TestTaskSpecs:
 
     def test_tracing_rejected_before_any_fork(self):
         with pytest.raises(ValueError, match="pickle boundary"):
-            _reject_tracing(MatchOptions(trace=True))
+            _reject_tracing(ExecOptions(trace=True))
         with pytest.raises(ValueError):
             ShardedExecutor(max_workers=1).run_batch(
-                [ALL_BOOKS], BIB, options=MatchOptions(trace=True)
+                [ALL_BOOKS], BIB, options=ExecOptions(trace=True)
             )
 
     def test_session_rejects_tracing_for_process_executor(self):
         session = QuerySession(BIB)
         with pytest.raises(ReproError, match="pickle boundary"):
-            session.run_batch([ALL_BOOKS], executor="process", trace=True)
+            session.run_batch(
+                [ALL_BOOKS], executor="process", options=ExecOptions(trace=True)
+            )
 
     def test_unknown_executor_rejected(self):
         with pytest.raises(ValueError, match="unknown executor"):
@@ -261,7 +263,7 @@ class TestProcessExecution:
                 "query { b as X } construct { out { collect X } }",
             ],
             executor="process",
-            budget=QueryBudget(max_bindings=10),
+            options=ExecOptions(budget=QueryBudget(max_bindings=10)),
         )
         assert rows[0].error is None
         assert len(rows[0].result.root.find_all("a")) == 3

@@ -14,7 +14,8 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from repro.engine.stats import EvalStats
-from repro.xmlgl.matcher import MatchOptions, match
+from repro.engine.options import ExecOptions
+from repro.xmlgl.matcher import match
 
 from .test_matcher_equivalence import (
     binding_multiset,
@@ -30,11 +31,11 @@ def test_adaptive_agrees_with_both_forced_engines(seed):
     document = random_document(rng)
     graph = random_query(rng)
     adaptive = binding_multiset(
-        match(graph, document, options=MatchOptions(engine="adaptive"))
+        match(graph, document, options=ExecOptions(engine="adaptive"))
     )
     for forced in ("pipeline", "backtracking"):
         assert adaptive == binding_multiset(
-            match(graph, document, options=MatchOptions(engine=forced))
+            match(graph, document, options=ExecOptions(engine=forced))
         ), f"seed {seed}: adaptive diverged from {forced}"
 
 
@@ -48,7 +49,7 @@ def test_adaptive_decisions_are_accounted(seed):
     graph = random_query(rng)
     stats = EvalStats()
     bindings = match(
-        graph, document, options=MatchOptions(engine="adaptive"), stats=stats
+        graph, document, options=ExecOptions(engine="adaptive"), stats=stats
     )
     decided = stats.extra.get("adaptive_pipeline", 0) + stats.extra.get(
         "adaptive_backtracking", 0

@@ -102,7 +102,7 @@ def scratch_rows(rule, document, options):
     bindings = rule_bindings(
         rule,
         document,
-        options=options.match_options(),
+        options=options,
         indexes=DocumentIndexCache(),
     )
     return binding_multiset(bindings)

@@ -2,9 +2,10 @@
 
 Seeded generators build random documents and random (always-valid) query
 graphs; every case asserts that all engine/ablation combinations — the
-set-at-a-time semi-join **pipeline** (default), the interval-**indexed**
-backtracking core and the **naive** full-scan path, each with the planner
-on and off — produce *identical* binding multisets.  The naive path is the
+cost-based **adaptive** default, the set-at-a-time semi-join **pipeline**,
+the interval-**indexed** backtracking core and the **naive** full-scan
+path, each with the planner on and off — produce *identical* binding
+multisets.  The naive path is the
 differential oracle: it touches neither the interval encoding nor the join
 pipeline, so agreement here is the correctness argument for both.
 
@@ -31,29 +32,25 @@ from repro.xmlgl.ast import (
     QueryGraph,
     TextPattern,
 )
-from repro.xmlgl.matcher import MatchOptions, match
+from repro.engine.options import ExecOptions
+from repro.xmlgl.matcher import match
 
 TAGS = ["a", "b", "c", "d"]
 ATTRS = ["k", "m"]
 VALUES = ["1", "2", "3"]
 TEXTS = ["x", "y", "zz"]
 
+#: The first entry is the differential oracle every other row must match.
 CONFIGS = [
-    MatchOptions(engine="pipeline", use_planner=True),
-    MatchOptions(engine="pipeline", use_planner=False),
-    # the columnar kernels (default on above) against the tuple pipeline
-    MatchOptions(engine="pipeline", use_planner=True, columnar=False),
-    MatchOptions(engine="pipeline", use_planner=False, columnar=False),
-    MatchOptions(engine="backtracking", use_planner=True),
-    MatchOptions(engine="backtracking", use_planner=False),
-    MatchOptions(engine="naive", use_planner=True),
-    MatchOptions(engine="naive", use_planner=False),
+    ExecOptions(engine="naive", use_planner=True),
+    ExecOptions(engine="naive", use_planner=False),
+    ExecOptions(engine="pipeline", use_planner=True),
+    ExecOptions(engine="pipeline", use_planner=False),
+    ExecOptions(engine="backtracking", use_planner=True),
+    ExecOptions(engine="backtracking", use_planner=False),
     # the cost-based selector must agree with whatever it picks
-    MatchOptions(engine="adaptive", use_planner=True),
-    MatchOptions(engine="adaptive", use_planner=False),
-    MatchOptions(engine="adaptive", use_planner=True, columnar=False),
-    # legacy spelling of the ablation knobs still works
-    MatchOptions(use_planner=True, use_index=False),
+    ExecOptions(engine="adaptive", use_planner=True),
+    ExecOptions(engine="adaptive", use_planner=False),
 ]
 
 
@@ -299,6 +296,6 @@ def test_interval_path_matches_naive_scan_path(seed):
     graph.add_node(ElementPattern("Y", tag=rng.choice(TAGS + [None])))
     graph.add_edge(ContainmentEdge("R", "X", deep=True, position=1))
     graph.add_edge(ContainmentEdge("X", "Y", deep=rng.random() < 0.5, position=1))
-    indexed = match(graph, document, options=MatchOptions(use_index=True))
-    naive = match(graph, document, options=MatchOptions(use_index=False))
+    indexed = match(graph, document, options=ExecOptions())
+    naive = match(graph, document, options=ExecOptions(engine="naive"))
     assert binding_multiset(indexed) == binding_multiset(naive)

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from repro.analysis.rewrite import rewrite_rule, rewrite_rulegraph
 from repro.engine.bindings import value_key
 from repro.engine.conditions import Comparison, Const, ContentOf
-from repro.engine.options import MatchOptions
+from repro.engine.options import ExecOptions
 from repro.ssd import serialize
 from repro.wglog.data import InstanceGraph
 from repro.wglog.dsl import parse_wglog
@@ -112,7 +112,7 @@ def test_rewritten_rule_evaluates_identically(seed):
     rule = inject_redundancy(make_rule(random_query(rng), rng), rng)
     rewritten, report = rewrite_rule(rule)
     for engine in ENGINES:
-        options = MatchOptions(engine=engine)
+        options = ExecOptions(engine=engine)
         original = serialize(evaluate_rule(rule, document, options=options))
         after = serialize(evaluate_rule(rewritten, document, options=options))
         assert after == original, (

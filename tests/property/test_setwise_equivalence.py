@@ -12,7 +12,7 @@ Two layers, mirroring how the pipeline is wired in:
 * **WG-Log rule level** — seeded random instance graphs run hand-built
   rule shapes (forest rules, ∀-negated crossed edges, path edges, a
   diamond that defeats the forest test) through ``embeddings`` with all
-  four ``MatchOptions.engine`` choices and both injectivity modes.
+  four ``ExecOptions.engine`` choices and both injectivity modes.
 """
 
 import random
@@ -28,7 +28,7 @@ from repro.graph import (
     find_homomorphisms_setwise,
 )
 from repro.wglog import InstanceGraph, embeddings, parse_rule
-from repro.xmlgl.matcher import MatchOptions
+from repro.engine.options import ExecOptions
 
 # -- graph level -----------------------------------------------------------------
 
@@ -172,10 +172,10 @@ RULES = [
 ]
 
 ENGINES = [
-    MatchOptions(engine="adaptive"),
-    MatchOptions(engine="pipeline"),
-    MatchOptions(engine="backtracking"),
-    MatchOptions(engine="naive"),
+    ExecOptions(engine="adaptive"),
+    ExecOptions(engine="pipeline"),
+    ExecOptions(engine="backtracking"),
+    ExecOptions(engine="naive"),
 ]
 
 

@@ -11,7 +11,7 @@ from repro.engine.cache import DocumentIndexCache
 from repro.engine.faults import FaultInjector, FaultRule, inject
 from repro.engine.limits import CancelToken, QueryBudget
 from repro.errors import BudgetExceeded, EvaluationError, QueryCancelled
-from repro.session import QuerySession
+from repro.session import ExecOptions, QuerySession
 
 from .conftest import CHAIN_RULE, ONE_BINDING_RULE
 
@@ -27,7 +27,7 @@ class TestBudgetErrorRows:
         # book — the cap splits them deterministically.
         results = session.run_batch(
             [ONE_BINDING_RULE, CHAIN_RULE, ONE_BINDING_RULE],
-            budget=QueryBudget(max_bindings=5),
+            options=ExecOptions(budget=QueryBudget(max_bindings=5)),
         )
         ok_rows = [r for r in results if r.ok]
         failed = [r for r in results if not r.ok]
@@ -48,7 +48,8 @@ class TestBudgetErrorRows:
 
     def test_failed_row_does_not_poison_the_shared_cache(self, session):
         first = session.run_batch(
-            [CHAIN_RULE, ONE_BINDING_RULE], budget=QueryBudget(max_bindings=5)
+            [CHAIN_RULE, ONE_BINDING_RULE],
+            options=ExecOptions(budget=QueryBudget(max_bindings=5)),
         )
         assert not first[0].ok and first[1].ok
         # The cache was pre-warmed and survives the failed row: a rerun
@@ -65,7 +66,9 @@ class TestBudgetErrorRows:
     def test_partial_mode_rows_return_truncated_results(self, session):
         results = session.run_batch(
             [CHAIN_RULE],
-            budget=QueryBudget(max_bindings=5, on_limit="partial"),
+            options=ExecOptions(
+                budget=QueryBudget(max_bindings=5, on_limit="partial")
+            ),
         )
         (row,) = results
         assert row.ok
@@ -80,7 +83,7 @@ class TestCancellation:
         cancel.cancel()
         results = session.run_batch(
             [CHAIN_RULE, ONE_BINDING_RULE],
-            budget=QueryBudget(deadline_ms=60_000),
+            options=ExecOptions(budget=QueryBudget(deadline_ms=60_000)),
             cancel=cancel,
         )
         assert all(not r.ok for r in results)
@@ -100,7 +103,7 @@ class TestCancellation:
         try:
             results = session.run_batch(
                 [join_rule] * 4,
-                budget=QueryBudget(deadline_ms=60_000),
+                options=ExecOptions(budget=QueryBudget(deadline_ms=60_000)),
                 cancel=cancel,
             )
         finally:

@@ -165,12 +165,12 @@ class TestDegradation:
         assert len(degraded) == len(baseline)
 
     def test_degradation_visible_in_explain(self, doc):
-        from repro.engine.options import MatchOptions
+        from repro.engine.options import ExecOptions
         from repro.explain import explain
 
         report = explain(
             parse_rule(JOIN_RULE), doc,
-            options=MatchOptions(engine="pipeline"),
+            options=ExecOptions(engine="pipeline"),
             indexes=DocumentIndexCache(),
         )
         # Unbudgeted: the join fragment runs on the pipeline...
@@ -182,7 +182,7 @@ class TestDegradation:
         # fallback reason.
         capped = explain(
             parse_rule(JOIN_RULE), doc,
-            options=MatchOptions(
+            options=ExecOptions(
                 engine="pipeline", budget=QueryBudget(max_hashjoin_rows=20)
             ),
             indexes=DocumentIndexCache(),
@@ -193,6 +193,76 @@ class TestDegradation:
             for f in g.fragments
         }
         assert ("fallback", "budget") in reasons
+
+
+class TestGraphDegradation:
+    """The row cap on WG-Log's graph pipeline: degrade, refund, agree."""
+
+    CAP = 10
+
+    def data(self):
+        from repro.graph import LabeledGraph
+
+        graph = LabeledGraph()
+        for i in range(20):
+            graph.add_node(f"p{i}", "p")
+        for i in range(4):
+            graph.add_node(f"q{i}", "q")
+        for i in range(3):
+            graph.add_node(f"r{i}", "r")
+        for i in range(20):  # 40 x-pairs: four times the cap
+            graph.add_edge(f"p{i}", f"q{i % 4}", "x")
+            graph.add_edge(f"p{i}", f"q{(i + 1) % 4}", "x")
+        return graph
+
+    def pattern(self, with_join=True):
+        from repro.graph import LabeledGraph
+
+        pattern = LabeledGraph()
+        if with_join:
+            pattern.add_node("a", "p")
+            pattern.add_node("b", "q")
+            pattern.add_edge("a", "b", "x")
+        pattern.add_node("c", "r")
+        return pattern
+
+    def setwise(self, pattern, data):
+        from repro.graph import MatchSpec, find_homomorphisms_setwise
+
+        stats = EvalStats()
+        arm_budget(stats, QueryBudget(max_hashjoin_rows=self.CAP))
+        mappings = list(
+            find_homomorphisms_setwise(
+                pattern, data, MatchSpec(injective=False), stats=stats
+            )
+        )
+        return mappings, stats
+
+    def test_row_cap_degrades_component_with_identical_mappings(self):
+        from repro.graph import MatchSpec, find_homomorphisms
+
+        data, pattern = self.data(), self.pattern()
+        mappings, stats = self.setwise(pattern, data)
+        expected = find_homomorphisms(pattern, data, MatchSpec(injective=False))
+
+        def key(found):
+            return sorted(tuple(sorted(m.items())) for m in found)
+
+        assert key(mappings) == key(expected)
+        assert len(mappings) == 40 * 3
+        assert stats.extra.get("degraded_fragments", 0) >= 1
+        assert stats.extra.get("fallback_budget", 0) >= 1
+        # the other component still ran set-at-a-time
+        assert stats.pipeline_fragments == 2
+
+    def test_discarded_rows_are_refunded(self):
+        data = self.data()
+        _, stats = self.setwise(self.pattern(), data)
+        _, alone = self.setwise(self.pattern(with_join=False), data)
+        # Only the surviving component's rows stay charged: the degraded
+        # component's materialised pairs were discarded, so refunded.
+        assert stats.budget.rows == alone.budget.rows
+        assert stats.budget.rows <= self.CAP
 
 
 class TestZeroOverhead:

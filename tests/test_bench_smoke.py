@@ -24,6 +24,7 @@ def test_run_suite_shape_and_agreement():
         assert entry["pipeline"]["seconds"] > 0
         assert entry["adaptive"]["seconds"] > 0
         assert entry["adaptive_overhead"] > 0
+    assert "scaling" not in report  # off unless workers > 1
 
 
 def test_descendant_heavy_work_reduction():
@@ -184,17 +185,6 @@ def test_tracing_guard_fails_hard_when_counters_diverge(monkeypatch):
         bench_smoke.measure_tracing_overhead(graph, document, index, repeat=1)
 
 
-def test_report_carries_columnar_block():
-    report = run_suite(bib_entries=30, sections_depth=4, repeat=1)
-    block = report["columnar"]
-    assert block["results_identical"] is True
-    assert block["backend"] in ("python", "numpy")
-    assert block["tuple_fragment_seconds"] > 0
-    assert block["columnar_fragment_seconds"] > 0
-    assert block["fragment_speedup"] > 0
-    assert "scaling" not in report  # off unless workers > 1
-
-
 def test_incremental_block_work_ratio_and_oracle():
     from repro.bench_smoke import measure_incremental
 
@@ -240,4 +230,4 @@ def test_scaling_block_and_gates(tmp_path, capsys):
     assert "--gate-scaling given but --workers not set" in capsys.readouterr().out
     assert main(args + ["--gate-incremental", "1000000"]) == 1
     assert "incremental maintenance work ratio" in capsys.readouterr().out
-    assert main(args + ["--gate-columnar", "0.0001", "--gate-incremental", "5.0"]) == 0
+    assert main(args + ["--gate-incremental", "5.0"]) == 0

@@ -4,12 +4,12 @@ import json
 
 import pytest
 
-from repro.engine.options import MatchOptions
+from repro.engine.options import ExecOptions
 from repro.explain import explain
 from repro.ssd import parse_document
 from repro.xmlgl.dsl import parse_rule
 
-PIPELINE = MatchOptions(engine="pipeline")
+PIPELINE = ExecOptions(engine="pipeline")
 
 DOC = parse_document(
     '<bib>'
@@ -103,13 +103,15 @@ class TestSyntheticDefault:
 
 class TestAdaptiveExplain:
     def test_cost_chosen_backtracking_surfaces(self):
-        # adaptive on a tiny document with the tuple pipeline (columnar
-        # off — its deep materialisation discount would flip this tiny
-        # chain to pipeline): the walk is cheaper than materialising
-        # pools + relations, and the report says so
-        report = explain(
-            CHAIN, DOC, options=MatchOptions(engine="adaptive", columnar=False)
+        # one book among many titled entries: the walk from the single
+        # book touches one title, cheaper than materialising the whole
+        # title pool, and the report says so
+        doc = parse_document(
+            "<bib><book><title>A</title></book>"
+            + "<entry><title>X</title></entry>" * 40
+            + "</bib>"
         )
+        report = explain(CHAIN, doc, options=ExecOptions(engine="adaptive"))
         assert report.engine == "adaptive"
         [fragment] = report.graphs[0].fragments
         assert fragment.decision == "backtracking"

@@ -215,13 +215,13 @@ class TestRewriteSteps:
         assert set(rewritten.queries[0].nodes) == {"R", "P"}
 
     def test_step9_no_rewrite_escape_hatch(self):
-        from repro import MatchOptions
+        from repro import ExecOptions
         from repro.explain import explain
 
         report = parse_document("<report><para>x</para></report>")
         rule = parse_rule(self.SOURCE)
         on = explain(rule, report)
-        off = explain(rule, report, options=MatchOptions(rewrite=False))
+        off = explain(rule, report, options=ExecOptions(rewrite=False))
         assert on.rewrites == "merged=1 pruned=1 dropped=1"
         assert off.rewrites == "off"
         assert "rewrites:" in on.render_text()
@@ -241,7 +241,7 @@ class TestRewriteSteps:
 
 
 class TestShardingSteps:
-    """§10: columnar counters in EXPLAIN, process-executor batch contract."""
+    """§10: pipeline counters in EXPLAIN, process-executor batch contract."""
 
     def test_step10_explain_shows_columnar_fragments(self, doc):
         from repro.explain import explain
@@ -251,7 +251,7 @@ class TestShardingSteps:
             " construct { r { collect T } }"
         )
         report = explain(join, doc)
-        assert report.stats.extra.get("columnar_fragments", 0) >= 1
+        assert report.stats.pipeline_fragments >= 1
         assert "work:" in report.render_text()
 
     def test_step10_process_batch_contract(self, doc):

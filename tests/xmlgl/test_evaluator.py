@@ -164,3 +164,19 @@ class TestPrograms:
         years = [y.immediate_text() for y in result.find_all("year")]
         assert years == ["1994", "1999", "2000"]
         assert serialize(result).count("<book ") == 3
+
+
+
+class TestRunOverlays:
+    def test_trace_false_overrides_traced_options(self, bib):
+        from repro.engine.options import ExecOptions
+        from repro.engine.stats import EvalStats
+
+        q = QueryBuilder()
+        q.box("book", id="B")
+        stats = EvalStats()
+        rule_bindings(
+            Rule([q.graph()], elem("r", collect("B"))), bib,
+            options=ExecOptions(trace=True), trace=False, stats=stats,
+        )
+        assert stats.trace is None

@@ -5,7 +5,7 @@ import pytest
 from repro.engine import EvalStats
 from repro.errors import QueryStructureError
 from repro.xmlgl import (
-    MatchOptions,
+    ExecOptions,
     QueryBuilder,
     attr,
     cmp,
@@ -318,7 +318,7 @@ class TestStatsAndOptions:
         book = q.box("book", id="B")
         q.box("title", id="T", parent=book)
         stats = EvalStats()
-        match(q.graph(), bib, options=MatchOptions(engine="pipeline"), stats=stats)
+        match(q.graph(), bib, options=ExecOptions(engine="pipeline"), stats=stats)
         assert stats.bindings_produced == 3
         # forced pipeline: work shows up as join rows, not per-candidate
         # trials
@@ -345,7 +345,7 @@ class TestStatsAndOptions:
         book = q.box("book", id="B")
         q.box("title", id="T", parent=book)
         stats = EvalStats()
-        match(q.graph(), bib, options=MatchOptions(engine="backtracking"), stats=stats)
+        match(q.graph(), bib, options=ExecOptions(engine="backtracking"), stats=stats)
         assert stats.bindings_produced == 3
         assert stats.candidates_tried + stats.interval_candidates > 0
         assert stats.edge_checks > 0
@@ -358,8 +358,8 @@ class TestStatsAndOptions:
         q.attribute(book, "year", id="Y")
         baseline = match(q.graph(), bib)
         for planner in (True, False):
-            for index in (True, False):
-                options = MatchOptions(use_planner=planner, use_index=index)
+            for engine in ("adaptive", "naive"):
+                options = ExecOptions(engine=engine, use_planner=planner)
                 result = match(q.graph(), bib, options=options)
                 assert len(result) == len(baseline)
 
@@ -367,6 +367,6 @@ class TestStatsAndOptions:
         q = QueryBuilder()
         q.box("book", id="B")
         stats = EvalStats()
-        match(q.graph(), bib, options=MatchOptions(use_index=False), stats=stats)
+        match(q.graph(), bib, options=ExecOptions(engine="naive"), stats=stats)
         assert stats.full_scans == 1
         assert stats.index_lookups == 0
