@@ -1,7 +1,7 @@
 """EXT-A1 — ablations of the XML-GL matcher's design choices.
 
 Toggles the two optimisations DESIGN.md calls out — the index-backed
-engines (the ``adaptive`` default against the index-free ``naive`` engine)
+engines (the ``pipeline`` default against the index-free ``naive`` engine)
 and the selectivity planner — on a multi-box query and checks both the
 result invariance (all four configurations agree) and the work ordering
 (the index avoids full scans; the planner reduces candidates tried on
@@ -27,8 +27,8 @@ RULE = parse_xg(
 GRAPH = RULE.queries[0]
 
 CONFIGS = {
-    "adaptive+planned": ExecOptions(engine="adaptive", use_planner=True),
-    "adaptive": ExecOptions(engine="adaptive", use_planner=False),
+    "pipeline+planned": ExecOptions(engine="pipeline", use_planner=True),
+    "pipeline": ExecOptions(engine="pipeline", use_planner=False),
     "naive+planned": ExecOptions(engine="naive", use_planner=True),
     "naive": ExecOptions(engine="naive", use_planner=False),
 }
@@ -57,7 +57,7 @@ def test_index_eliminates_full_scans(bib_doc, bib_index):
     doc = bib_doc(400)
     index = bib_index(400)
     indexed_stats = EvalStats()
-    match(GRAPH, doc, options=CONFIGS["adaptive+planned"], index=index,
+    match(GRAPH, doc, options=CONFIGS["pipeline+planned"], index=index,
           stats=indexed_stats)
     scan_stats = EvalStats()
     match(GRAPH, doc, options=CONFIGS["naive+planned"], index=index,
@@ -72,9 +72,9 @@ def test_planner_reduces_candidates_on_skew(bib_doc, bib_index):
     doc = bib_doc(400)
     index = bib_index(400)
     planned, unplanned = EvalStats(), EvalStats()
-    match(GRAPH, doc, options=CONFIGS["adaptive+planned"], index=index,
+    match(GRAPH, doc, options=CONFIGS["pipeline+planned"], index=index,
           stats=planned)
-    match(GRAPH, doc, options=CONFIGS["adaptive"], index=index, stats=unplanned)
+    match(GRAPH, doc, options=CONFIGS["pipeline"], index=index, stats=unplanned)
     assert planned.candidates_tried <= unplanned.candidates_tried
 
 

@@ -2,11 +2,10 @@
 
 Runs the representative matcher queries from the extension benchmarks
 (``bench_ext_ablation``, ``bench_ext_paths``, ``bench_ext_scaling``,
-``bench_fig_q3_join``, ``bench_fig_q4_deep``) on all four evaluation
-engines — the cost-based **adaptive** selector (default), the
-set-at-a-time semi-join **pipeline**, the interval-**indexed**
-backtracking core and the **naive** full-scan ablation — and writes a
-JSON report (``BENCH_matcher.json``) with
+``bench_fig_q3_join``, ``bench_fig_q4_deep``) on all three evaluation
+engines — the set-at-a-time semi-join **pipeline** (default), the
+interval-**indexed** backtracking core and the **naive** full-scan
+ablation — and writes a JSON report (``BENCH_matcher.json``) with
 per-query wall time and :class:`~repro.engine.stats.EvalStats` counters,
 so successive PRs leave a perf trajectory to compare against::
 
@@ -24,10 +23,7 @@ semi-join plan replaces per-candidate search with set operations) and
 
 ``--baseline`` compares each engine's ``work`` per query against a
 committed report and prints a GitHub ``::warning::`` annotation for every
-regression beyond 20% (fails-soft).  The **adaptive gate** is gating: if
-any query runs more than 10% (plus a 1ms noise floor) slower under the
-adaptive default than under the best forced engine, the run prints
-``::error::`` annotations and exits 1.  ``--append-history`` carries the
+regression beyond 20% (fails-soft).  ``--append-history`` carries the
 baseline's ``history`` forward and appends one timestamped summary record
 per run.
 
@@ -61,9 +57,9 @@ script (inserts, deletes, value and attribute updates) to the
 bibliography through :meth:`~repro.session.QuerySession.mutate` with a
 continuous query subscribed throughout, *asserts* the maintained row set
 equals a from-scratch re-evaluation, and records the maintenance work
-ratio — what rebuild-per-edit would have cost (relabel + recount the
-whole document each commit) over what the gap-label maintenance actually
-did — plus the subscription's footprint eval/skip split.
+ratio — what rebuild-per-edit would have cost (relabel the whole
+document each commit) over what the gap-label maintenance actually did —
+plus the subscription's footprint eval/skip split.
 ``--gate-incremental 5.0`` turns the work ratio into a hard gate (CI).
 
 The ``scaling`` block (``--workers N``, off by default) maps the
@@ -99,10 +95,8 @@ __all__ = ["run_suite", "main"]
 PIPELINE = ExecOptions(engine="pipeline")
 INDEXED = ExecOptions(engine="backtracking")
 NAIVE = ExecOptions(engine="naive")
-ADAPTIVE = ExecOptions(engine="adaptive")
 
 ENGINES: list[tuple[str, ExecOptions]] = [
-    ("adaptive", ADAPTIVE),
     ("pipeline", PIPELINE),
     ("indexed", INDEXED),
     ("naive", NAIVE),
@@ -110,14 +104,6 @@ ENGINES: list[tuple[str, ExecOptions]] = [
 
 #: Work regression tolerated before --baseline warns (fails-soft).
 REGRESSION_TOLERANCE = 0.20
-
-#: The adaptive gate (hard-fails): per query, the cost-based default may be
-#: at most this fraction slower than the best *forced* engine...
-ADAPTIVE_TOLERANCE = 0.10
-
-#: ...plus this absolute allowance, so micro-queries whose entire runtime
-#: is timer noise cannot flake the gate.
-ADAPTIVE_NOISE_FLOOR_SECONDS = 0.001
 
 #: Query the tracing-overhead guard measures (join-heavy: deepest span tree).
 TRACING_GUARD_QUERY = "fig_q3/join"
@@ -433,10 +419,10 @@ def measure_incremental(
     :class:`~repro.engine.index.DocumentIndex` maintained in place and a
     continuous query subscribed throughout.  Records:
 
-    * ``incremental_work`` — labels assigned/removed/relabelled plus
-      statistics nodes touched, from the index's maintenance counters;
+    * ``incremental_work`` — labels assigned/removed/relabelled, from the
+      index's maintenance counters;
     * ``rebuild_work`` — what rebuild-per-edit would have cost: every
-      edit relabels and recounts the whole document (``2 * n`` per edit);
+      edit relabels the whole document (``n`` per edit);
     * ``work_ratio`` — rebuild / incremental, the headline number
       (``--gate-incremental`` turns it into a hard CI floor);
     * the subscription's eval/skip split and a correctness anchor: the
@@ -491,14 +477,14 @@ def measure_incremental(
             )
         session.mutate(batch)
         # A rebuild-per-edit maintenance strategy relabels every element
-        # and recollects statistics over every element, each commit.
-        rebuild_work += 2 * index.element_count()
+        # each commit.
+        rebuild_work += index.element_count()
         deltas += len(subscription.poll())
     seconds = time.perf_counter() - started
     counters = index.maintenance_counters()
     incremental_work = sum(
         counters[key] - base[key]
-        for key in ("labels_assigned", "labels_removed", "relabel_labels", "stats_nodes")
+        for key in ("labels_assigned", "labels_removed", "relabel_labels")
     )
     scratch = len(
         rule_bindings(
@@ -594,7 +580,7 @@ def run_suite(
     repeat: int = 5,
     workers: int = 0,
 ) -> dict:
-    """Run every query on all four engines; returns the JSON-ready report."""
+    """Run every query on all three engines; returns the JSON-ready report."""
     datasets = {
         "bib": bibliography(bib_entries, seed=0),
         "sections": nested_sections(depth=sections_depth, fanout=2, seed=0),
@@ -602,7 +588,7 @@ def run_suite(
     indexes = {name: DocumentIndex(doc) for name, doc in datasets.items()}
     report: dict = {
         "generated_by": "repro.bench_smoke",
-        "schema_version": 3,
+        "schema_version": 4,
         "sizes": {
             "bib_entries": bib_entries,
             "sections_depth": sections_depth,
@@ -634,7 +620,6 @@ def run_suite(
             }
         assert entry["indexed"]["bindings"] == entry["naive"]["bindings"], name
         assert entry["pipeline"]["bindings"] == entry["indexed"]["bindings"], name
-        assert entry["adaptive"]["bindings"] == entry["indexed"]["bindings"], name
         indexed_work = max(entry["indexed"]["work"], 1)
         entry["work_ratio"] = round(entry["naive"]["work"] / indexed_work, 2)
         entry["speedup"] = round(
@@ -646,10 +631,6 @@ def run_suite(
         entry["pipeline_speedup"] = round(
             entry["indexed"]["seconds"] / max(entry["pipeline"]["seconds"], 1e-9),
             2,
-        )
-        best_forced = min(entry["pipeline"]["seconds"], entry["indexed"]["seconds"])
-        entry["adaptive_overhead"] = round(
-            entry["adaptive"]["seconds"] / max(best_forced, 1e-9), 3
         )
         report["queries"][name] = entry
     guard_text = next(q[1] for q in QUERIES if q[0] == TRACING_GUARD_QUERY)
@@ -676,34 +657,6 @@ def run_suite(
     if workers > 1:
         report["scaling"] = measure_scaling(workers)
     return report
-
-
-def check_adaptive(report: dict) -> list[str]:
-    """Per-query gate: the adaptive default must keep up with the best
-    forced engine (within :data:`ADAPTIVE_TOLERANCE` plus the absolute
-    noise floor).  Returns violation lines; any violation fails the run.
-    """
-    violations = []
-    for name, entry in report.get("queries", {}).items():
-        adaptive = entry.get("adaptive", {}).get("seconds")
-        forced = [
-            entry.get(label, {}).get("seconds")
-            for label in ("pipeline", "indexed")
-        ]
-        forced = [s for s in forced if s is not None]
-        if adaptive is None or not forced:
-            continue
-        best = min(forced)
-        allowed = best * (1 + ADAPTIVE_TOLERANCE) + ADAPTIVE_NOISE_FLOOR_SECONDS
-        if adaptive > allowed:
-            violations.append(
-                f"{name}: adaptive {adaptive * 1000:.2f}ms > "
-                f"{allowed * 1000:.2f}ms allowed "
-                f"(best forced {best * 1000:.2f}ms "
-                f"+{ADAPTIVE_TOLERANCE * 100:.0f}% "
-                f"+{ADAPTIVE_NOISE_FLOOR_SECONDS * 1000:.0f}ms floor)"
-            )
-    return violations
 
 
 def check_baseline(report: dict, baseline: dict) -> list[str]:
@@ -831,8 +784,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             f"time {entry['naive']['seconds'] * 1000:.2f}ms -> "
             f"{entry['indexed']['seconds'] * 1000:.2f}ms -> "
             f"{entry['pipeline']['seconds'] * 1000:.2f}ms "
-            f"(pipeline {entry['pipeline_speedup']}x over indexed, "
-            f"adaptive {entry['adaptive_overhead']}x of best forced)"
+            f"(pipeline {entry['pipeline_speedup']}x over indexed)"
         )
     heavy = [
         (name, entry)
@@ -925,13 +877,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if not regressions:
             print("no work regressions vs baseline")
 
-    violations = check_adaptive(report)
-    for line in violations:
-        print(f"::error::adaptive regression: {line}")
-    if violations or failures:
-        return 1
-    print("adaptive within tolerance of best forced engine on every query")
-    return 0
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

@@ -133,9 +133,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     explain.add_argument(
         "--engine",
-        choices=("adaptive", "pipeline", "backtracking", "naive"),
-        default=None,
-        help="force an evaluation engine (default: adaptive cost-based)",
+        choices=("pipeline", "backtracking", "naive"),
+        default="pipeline",
+        help="evaluation engine (default: pipeline)",
     )
     explain.add_argument(
         "--no-rewrite", action="store_true",
@@ -505,14 +505,9 @@ def _cmd_explain(args: argparse.Namespace, out) -> int:
             f"# note: explaining the first of {len(program.rules)} rules",
             file=sys.stderr,
         )
-    options = None
-    if args.engine is not None or args.no_rewrite:
-        from .engine.options import ExecOptions
+    from .engine.options import ExecOptions
 
-        options = ExecOptions(
-            engine=args.engine if args.engine is not None else "adaptive",
-            rewrite=not args.no_rewrite,
-        )
+    options = ExecOptions(engine=args.engine, rewrite=not args.no_rewrite)
     report = explain(
         program.rules[0], sources if sources else None, options=options
     )

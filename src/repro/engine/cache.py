@@ -18,9 +18,9 @@ the document) alive, so entries persist until :func:`invalidate` /
 :meth:`DocumentIndexCache.clear` — callers that mutate a document *by
 hand* **must** invalidate it.  The typed mutation API
 (:mod:`repro.engine.mutate`) is the exception and the point: it maintains
-the cached index **in place** (gap-label maintenance, statistics deltas,
-epoch bumps), so under churn the cache keeps serving the same entry
-instead of rebuilding — use it over raw tree edits wherever possible.
+the cached index **in place** (gap-label maintenance and pool splices),
+so under churn the cache keeps serving the same entry instead of
+rebuilding — use it over raw tree edits wherever possible.
 
 **Bound.**  The cache is LRU-bounded over *document count*
 (``max_documents``): inserting beyond the bound evicts the least recently

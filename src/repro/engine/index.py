@@ -22,15 +22,13 @@ Mutability contract
 -------------------
 Indexes are **maintained, not rebuilt**, under the typed mutation API
 (:mod:`repro.engine.mutate`): ``note_insert`` / ``note_delete`` /
-``note_set_attribute`` update the label maps, per-tag/attribute pools and
-the mutable :class:`~repro.engine.estimator.StatisticsBuilder` in
-``O(k log n + k * depth)`` for a ``k``-node edit, falling back to a full
+``note_set_attribute`` update the label maps and per-tag/attribute pools
+in ``O(k log n + depth)`` for a ``k``-node edit, falling back to a full
 relabel only when an edit point's gap is exhausted (amortized away by the
-gap spacing).  Structural edits bump :attr:`stats_epoch` so plan-cache
-keys embedding the old epoch can never serve stale plans; attribute and
-value edits do not (they move cost inputs, not plan validity).  Mutation
-is not thread-safe against concurrent readers — callers serialize
-(the server wraps the mutable head in a read/write lock).
+gap spacing).  Nothing a compiled plan depends on lives here, so no edit
+invalidates a plan.  Mutation is not thread-safe against concurrent
+readers — callers serialize (the server wraps the mutable head in a
+read/write lock).
 
 The columnar kernels (:mod:`repro.engine.columns`) need *dense* pre ids —
 they use them as positions into flat ``array('i')`` columns — so the
@@ -43,13 +41,11 @@ labels, the column accessors speak ranks, and no caller may mix them.
 
 from __future__ import annotations
 
-import itertools
 from array import array
 from bisect import bisect_left, bisect_right
 from typing import Iterable, Iterator, Optional
 
 from ..ssd.model import Document, Element
-from .estimator import DocumentStatistics, StatisticsBuilder
 
 __all__ = ["DocumentIndex", "LABEL_GAP"]
 
@@ -57,12 +53,6 @@ __all__ = ["DocumentIndex", "LABEL_GAP"]
 #: sit ``LABEL_GAP`` apart, leaving ``LABEL_GAP - 1`` free integers per
 #: edit point before a local insert must fall back to a full relabel.
 LABEL_GAP = 64
-
-#: Monotonic stamp handed to each index at construction and re-stamped on
-#: every committed *structural* mutation, so plan-cache keys embedding an
-#: old one can never serve stale plans.  ``itertools.count`` is atomic
-#: under the GIL — no lock needed.
-_STATS_EPOCHS = itertools.count(1)
 
 
 class _DenseView:
@@ -117,27 +107,25 @@ class DocumentIndex:
         self._document = document
         self._doc_revision = 0
         self._dense: Optional[_DenseView] = None
-        self._statistics: Optional[DocumentStatistics] = None
         self._counters = {
             "labels_assigned": 0,
             "labels_removed": 0,
             "relabels": 0,
             "relabel_labels": 0,
+            # The index keeps no statistics; the key stays (always 0) for
+            # readers of the pre-3.0 counter set.
             "stats_nodes": 0,
             "dense_rebuilds": 0,
             "structural_ops": 0,
             "attribute_ops": 0,
             "value_ops": 0,
         }
-        elements, parent_pre, depths = self._assign_labels()
-        self._stats = StatisticsBuilder.collect(elements, parent_pre, depths)
-        self._stats_epoch = next(_STATS_EPOCHS)
+        self._assign_labels()
 
-    def _assign_labels(self) -> tuple[list[Element], list[int], list[int]]:
+    def _assign_labels(self) -> None:
         """(Re)derive every label structure from the current tree.
 
-        Labels come out ``dense_pre * LABEL_GAP``.  Returns the dense
-        pre-order temporaries for the statistics collector.
+        Labels come out ``dense_pre * LABEL_GAP``.
         """
         elements: list[Element] = []
         parent_pre: list[int] = []
@@ -202,10 +190,9 @@ class DocumentIndex:
         self._attr_tuples: dict[str, tuple[Element, ...]] = {}
         self._element_count = count
         self._dense = None
-        return elements, parent_pre, depths
 
     def _relabel(self) -> None:
-        """Full fallback relabel (gap exhausted); statistics untouched."""
+        """Full fallback relabel (gap exhausted)."""
         self._counters["relabels"] += 1
         self._assign_labels()
         self._counters["relabel_labels"] += self._element_count
@@ -339,20 +326,7 @@ class DocumentIndex:
         rank_by_id = self._dense_view().rank_by_id
         return array("i", (rank_by_id[id(element)] for element in elements))
 
-    # -- statistics -----------------------------------------------------------
-
-    @property
-    def statistics(self) -> DocumentStatistics:
-        """Cost-model statistics (re-snapshotted lazily after mutations)."""
-        snapshot = self._statistics
-        if snapshot is None:
-            snapshot = self._statistics = self._stats.snapshot()
-        return snapshot
-
-    @property
-    def stats_epoch(self) -> int:
-        """Monotonic structural stamp; plan-cache keys embed it."""
-        return self._stats_epoch
+    # -- bookkeeping ----------------------------------------------------------
 
     @property
     def doc_revision(self) -> int:
@@ -406,9 +380,9 @@ class DocumentIndex:
 
         Called *after* the tree edit.  Labels the new nodes inside the gap
         between their document-order neighbours (full relabel only when
-        the gap is exhausted), splices the per-tag/attribute pools, fixes
-        ancestor ``post`` labels in O(depth), and applies the statistics
-        delta.  Returns the subtree's node count.
+        the gap is exhausted), splices the per-tag/attribute pools and
+        fixes ancestor ``post`` labels in O(depth).  Returns the subtree's
+        node count.
         """
         # Subtree walk in pre-order, tracking relative structure.
         nodes: list[tuple[Element, int]] = []
@@ -428,12 +402,6 @@ class DocumentIndex:
 
         parent_label = self._label_of[id(parent)]
         parent_depth = self._depth_of[parent_label]
-        chain = [parent.tag]
-        chain.extend(anc.tag for anc in parent.ancestors())
-        self._counters["stats_nodes"] += self._stats.add_subtree(
-            root, parent_depth, chain, len(parent.child_elements())
-        )
-        self._statistics = None
         self._counters["structural_ops"] += 1
 
         # Document-order boundary: the label just before the new subtree
@@ -527,17 +495,6 @@ class DocumentIndex:
         j = bisect_right(order, hi)
         removed = order[i:j]
         k = len(removed)
-
-        parent_label = self._label_of[id(parent)]
-        chain = [parent.tag]
-        chain.extend(anc.tag for anc in parent.ancestors())
-        self._counters["stats_nodes"] += self._stats.remove_subtree(
-            root,
-            self._depth_of[parent_label],
-            chain,
-            len(parent.child_elements()) - 1,
-        )
-        self._statistics = None
         self._counters["structural_ops"] += 1
 
         # Ancestors whose subtree ended inside the removed range now end
@@ -596,8 +553,6 @@ class DocumentIndex:
     ) -> None:
         """Register one attribute edit (already applied to ``element``)."""
         self._counters["attribute_ops"] += 1
-        self._stats.set_attribute(name, old, new)
-        self._statistics = None
         if (old is None) == (new is None):
             return  # value-only change: pools unaffected
         label = self._label_of[id(element)]
@@ -621,8 +576,6 @@ class DocumentIndex:
         """Register a text rewrite under ``element`` (labels untouched)."""
         self._counters["value_ops"] += 1
 
-    def commit_revision(self, revision: int, structural: bool) -> None:
+    def commit_revision(self, revision: int) -> None:
         """Seal one committed mutation batch into this index."""
         self._doc_revision = revision
-        if structural:
-            self._stats_epoch = next(_STATS_EPOCHS)

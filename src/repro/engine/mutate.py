@@ -1,7 +1,7 @@
 """Typed document mutations with incremental index maintenance.
 
 Documents used to be frozen snapshots: any change meant "rebuild the index,
-recollect statistics, recompile plans".  This module is the write path that
+recompile plans".  This module is the write path that
 makes them *live*:
 
 * four typed operations — :meth:`MutationBatch.insert_subtree`,
@@ -12,8 +12,7 @@ makes them *live*:
   *before* any op applies (client errors → :class:`~repro.errors.MutationError`
   with the tree untouched), then applies the ops and incrementally
   maintains every affected :class:`~repro.engine.index.DocumentIndex`
-  (gap-label splices, pool updates, statistics deltas — see
-  :mod:`repro.engine.index`),
+  (gap-label splices and pool updates — see :mod:`repro.engine.index`),
 * every committed batch advances the document's monotonically increasing
   ``doc_revision`` (tracked per document object, index or not) and reports
   a :class:`TouchedRegion` — the label intervals, tags, attribute names and
@@ -21,9 +20,8 @@ makes them *live*:
   (:mod:`repro.engine.subscribe`) intersects with each registered query's
   footprint to decide whether a re-evaluation can be skipped outright.
 
-Structural ops (insert/delete) bump the index's stats epoch so the plan
-cache invalidates that document's plans precisely; attribute/value ops do
-not.  Mutation is not thread-safe against concurrent readers of the same
+Compiled plans depend only on the query graph, so no mutation touches the
+plan cache.  Mutation is not thread-safe against concurrent readers of the same
 document — callers serialize (the server holds a per-document write lock).
 
 :func:`ops_from_spec` converts the JSON wire form used by the server and
@@ -317,7 +315,7 @@ def apply_batch(
     ``indexes`` defaults to the shared cache's entry for ``document`` (if
     one exists — never builds one: a document without an index needs no
     maintenance, the next build sees the mutated tree).  Every maintained
-    index stays fully consistent: labels, pools, statistics, epoch.
+    index stays fully consistent: labels, pools, revision.
 
     Raises :class:`~repro.errors.MutationError` before touching anything
     if any op is invalid against the batch-prefix-simulated document.
@@ -404,7 +402,7 @@ def apply_batch(
 
     revision = _next_revision(document)
     for index in maintained:
-        index.commit_revision(revision, structural)
+        index.commit_revision(revision)
     # Element.size() counts text nodes too; node counts from maintained
     # indexes count elements only.  Either way they are work indicators,
     # not invariants.

@@ -7,20 +7,14 @@ document matcher, the WG-Log graph matcher, the evaluators and
 
 * ``engine`` — the evaluation strategy:
 
-  - ``"adaptive"`` (default): per-fragment cost-based selection.  Each
-    coverable query fragment is costed with the document's statistics
-    (:mod:`repro.engine.estimator`) and runs on whichever of the two
-    engines below is estimated cheaper
-    (:func:`repro.engine.planner.choose_fragment_engine`); the shape-based
-    *hard* fallbacks (ordered / negated / cyclic fragments) apply exactly
-    as under ``"pipeline"``.
-  - ``"pipeline"``: set-at-a-time evaluation, forced.  The query is
+  - ``"pipeline"`` (default): set-at-a-time evaluation.  The query is
     compiled into per-node candidate pools plus binary edge relations,
     both held as int columns (:mod:`repro.engine.columns`); a
     Yannakakis-style semi-join reduction removes dangling candidates over
     a cost-chosen join tree, and hash joins assemble the final binding
     set.  Fragments the pipeline cannot cover — undirected cycles,
-    ordered arcs, negation, path edges — fall back to the backtracking
+    ordered arcs, negation, path edges, and XML-GL boxes with no
+    containment arc (nothing to semi-join) — run on the backtracking
     core *per fragment*, so one uncooperative corner of a query does not
     forfeit set-at-a-time evaluation for the rest.
   - ``"backtracking"``: the node-at-a-time core with interval-index
@@ -69,14 +63,14 @@ if TYPE_CHECKING:
 __all__ = ["ENGINES", "ExecOptions"]
 
 #: Recognised values of :attr:`ExecOptions.engine`.
-ENGINES = ("adaptive", "pipeline", "backtracking", "naive")
+ENGINES = ("pipeline", "backtracking", "naive")
 
 
 @dataclass(frozen=True)
 class ExecOptions:
     """Engine choice, rewrite and planner switches, tracing and budget."""
 
-    engine: str = "adaptive"
+    engine: str = "pipeline"
     rewrite: bool = True
     use_planner: bool = True
     trace: bool = False

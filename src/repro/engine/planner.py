@@ -27,15 +27,9 @@ noticeable now that the pipeline plans a join tree per query fragment.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
-__all__ = [
-    "FragmentCosts",
-    "KERNEL_ITEM_COST",
-    "choose_fragment_engine",
-    "plan_order",
-]
+__all__ = ["plan_order"]
 
 NodeId = Hashable
 
@@ -92,99 +86,3 @@ def plan_order(
                 )
     return order
 
-
-@dataclass(frozen=True)
-class FragmentCosts:
-    """Outcome of the pipeline-vs-backtracking cost comparison."""
-
-    #: The cheaper engine: ``"pipeline"`` or ``"backtracking"``.
-    engine: str
-    #: Estimated set-at-a-time cost (pool + relation materialisation + rows).
-    pipeline: float
-    #: Estimated node-at-a-time cost (candidates enumerated over the walk).
-    backtracking: float
-    #: Estimated result rows of the fragment.
-    rows: float
-
-
-#: Per-item materialisation cost of pools and relations built by the
-#: vectorised int-column kernels (:mod:`repro.engine.columns`), in the cost
-#: model's common currency: one per-candidate step of the backtracking
-#: walk, a Python-level loop iteration.  Kernel items are built by bisect
-#: / vectorised passes: calibrated against bench_smoke fragment timings,
-#: a kernel item runs ~20x cheaper than a walk step.  Callers whose pools
-#: and relations come out of a Python loop pass ``item_cost=1.0``.
-KERNEL_ITEM_COST = 0.05
-
-
-def choose_fragment_engine(
-    pool_sizes: Mapping[NodeId, float],
-    edge_pairs: Sequence[tuple[NodeId, NodeId, float]],
-    enabled: bool = True,
-    item_cost: float = 1.0,
-) -> FragmentCosts:
-    """Cost-compare one acyclic fragment's two evaluation strategies.
-
-    Args:
-        pool_sizes: per-box candidate-pool size (after static narrowing).
-        edge_pairs: ``(parent, child, estimated pair count)`` per
-            containment arc, from
-            :meth:`repro.engine.estimator.CardinalityEstimator.scaled_edge_pairs`.
-        enabled: forwarded to :func:`plan_order` (planner ablation keeps
-            the drawing order).
-        item_cost: per-item cost of pool and relation materialisation for
-            the kernels the caller actually runs (:data:`KERNEL_ITEM_COST`
-            for the vectorised column kernels, 1.0 for a Python loop).
-            Assembled rows always cost 1: they materialise nodes either way.
-
-    The backtracking estimate walks the same selective-first order the
-    engine would use: an unattached box scans its whole pool per partial
-    assignment; an attached box enumerates an interval-verified candidate
-    pool whose average size is the incident relation's pairs divided by
-    the already-placed endpoint's pool (the best such edge wins, matching
-    the engine's pool intersection).  The pipeline estimate charges every
-    pool and relation once — set-at-a-time work is data-size-bound, not
-    result-size-bound — plus the assembled rows.  Ties go to backtracking:
-    when both walks touch the same candidates, node-at-a-time avoids
-    materialising relations.
-    """
-    nodes = list(pool_sizes)
-    adjacency: dict[NodeId, list[NodeId]] = {n: [] for n in nodes}
-    incident: dict[NodeId, list[tuple[NodeId, float]]] = {n: [] for n in nodes}
-    for parent, child, pairs in edge_pairs:
-        adjacency[parent].append(child)
-        adjacency[child].append(parent)
-        incident[parent].append((child, pairs))
-        incident[child].append((parent, pairs))
-    order = plan_order(
-        nodes,
-        estimate=lambda n: pool_sizes[n],  # type: ignore[index,return-value]
-        adjacency=adjacency,
-        enabled=enabled,
-    )
-    placed: set[NodeId] = set()
-    rows = 1.0
-    backtracking = 0.0
-    for node in order:
-        branches = [
-            pairs / max(1.0, float(pool_sizes[other]))
-            for other, pairs in incident[node]
-            if other in placed
-        ]
-        if branches:
-            branch = min(branches)
-            backtracking += rows * branch
-            rows *= branch
-        else:
-            pool = float(pool_sizes[node])
-            backtracking += rows * pool
-            rows *= pool
-        placed.add(node)
-    materialise = float(sum(pool_sizes.values())) + float(
-        sum(pairs for _, _, pairs in edge_pairs)
-    )
-    pipeline = materialise * item_cost + rows
-    engine = "backtracking" if backtracking <= pipeline else "pipeline"
-    return FragmentCosts(
-        engine=engine, pipeline=pipeline, backtracking=backtracking, rows=rows
-    )

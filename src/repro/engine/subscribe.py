@@ -288,10 +288,8 @@ class Subscription:
         from ..xmlgl.evaluator import lookup_or_compile, rule_bindings
 
         stats = EvalStats()
-        # Re-resolve the plan each run: the cache key embeds the indexes'
-        # stats epochs, so non-structural commits take a warm hit while a
-        # structural commit (epoch bump) recompiles against fresh
-        # statistics — exactly the staleness contract the planner wants.
+        # Re-resolve the plan each run: a warm hit on the query's digest
+        # (plans never depend on the document, so commits keep it warm).
         rule, _text, plan = lookup_or_compile(
             self.source_text if self.source_text is not None else self.rule,
             self._sources,

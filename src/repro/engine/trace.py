@@ -35,9 +35,8 @@ span / event              recorded by
                           (attr ``outcome``: hit / built / raced)
 ``match``                 evaluator / WG-Log ``embeddings`` (attr ``engine``)
 ``match.fragment``        per connected query fragment (attrs ``variables``,
-                          ``decision``: pipeline / backtracking / fallback,
-                          ``reason``; adaptive cost decisions carry
-                          ``est_pipeline`` / ``est_backtracking``)
+                          ``decision``: pipeline / fallback, ``reason``
+                          on fallbacks, ``rows``)
 ``fragment.pools``        XML-GL pool construction (attr ``sizes``)
 ``fragment.relations``    edge-relation build (attr ``pairs``)
 ``plan``                  :func:`repro.engine.pipeline.evaluate_forest`

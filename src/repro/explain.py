@@ -7,8 +7,8 @@ is that surface: :func:`explain` evaluates a rule with tracing enabled and
 digests the recorded span tree (:mod:`repro.engine.trace`) into an
 :class:`Explanation` that renders — as text or JSON — the cost-chosen join
 forest, every fragment's engine decision (pipeline vs. backtracking
-fallback, with the reason: ``ordered`` / ``negated`` / ``cyclic`` /
-``multi-parent-circle``), and the candidate-pool sizes before and after
+fallback, with the reason: ``edge-free`` / ``ordered`` / ``negated`` /
+``cyclic`` / ``multi-parent-circle``), and the candidate-pool sizes before and after
 each semi-join pass.
 
 This is ``EXPLAIN ANALYZE``, not a dry run: the plan the pipeline chooses
@@ -74,7 +74,7 @@ class FragmentPlan:
     """One connected query fragment's evaluation decision and plan."""
 
     variables: list[str]
-    decision: str  # pipeline | backtracking | fallback
+    decision: str  # pipeline | fallback
     reason: Optional[str]
     rows: Optional[int]
     order: list[str] = field(default_factory=list)
@@ -82,9 +82,6 @@ class FragmentPlan:
     pool_sizes: dict[str, int] = field(default_factory=dict)
     semijoins: list[SemiJoinPass] = field(default_factory=list)
     assembled_rows: Optional[int] = None
-    #: Adaptive cost estimates, when the decision was cost-based.
-    est_pipeline: Optional[float] = None
-    est_backtracking: Optional[float] = None
 
     def as_dict(self) -> dict[str, Any]:
         return {
@@ -97,8 +94,6 @@ class FragmentPlan:
             "pool_sizes": self.pool_sizes,
             "semijoins": [p.as_dict() for p in self.semijoins],
             "assembled_rows": self.assembled_rows,
-            "est_pipeline": self.est_pipeline,
-            "est_backtracking": self.est_backtracking,
         }
 
 
@@ -213,17 +208,6 @@ class Explanation:
 
 def _render_fragment(fragment: FragmentPlan) -> list[str]:
     variables = ", ".join(fragment.variables)
-    if fragment.decision == "backtracking":
-        estimates = ""
-        if fragment.est_pipeline is not None:
-            estimates = (
-                f" (est pipeline {fragment.est_pipeline} vs "
-                f"backtracking {fragment.est_backtracking})"
-            )
-        return [
-            f"  fragment [{variables}]: cost-chosen backtracking"
-            f"{estimates} -> {fragment.rows} row(s)"
-        ]
     if fragment.decision != "pipeline":
         return [
             f"  fragment [{variables}]: fallback to backtracking "
@@ -247,8 +231,6 @@ def _render_fragment(fragment: FragmentPlan) -> list[str]:
             f"    semi-join {sj.var} ({sj.direction} via {sj.via}): "
             f"{sj.before} -> {sj.after}"
         )
-    if not fragment.semijoins:
-        lines.append("    semi-joins: none (single-box fragment)")
     if fragment.assembled_rows is not None:
         lines.append(f"    assembled rows: {fragment.assembled_rows}")
     return lines
@@ -289,8 +271,6 @@ def _fragment_from_span(span: Span) -> FragmentPlan:
         decision=span.attributes.get("decision", "?"),
         reason=span.attributes.get("reason"),
         rows=span.attributes.get("rows"),
-        est_pipeline=span.attributes.get("est_pipeline"),
-        est_backtracking=span.attributes.get("est_backtracking"),
     )
     plans = span.find("plan")
     if plans:

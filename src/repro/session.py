@@ -113,8 +113,8 @@ class QuerySession:
         # several sessions into the process-wide aggregate.
         self._metrics = metrics if metrics is not None else MetricsRegistry()
         # Compiled plans likewise default to the process-wide cache: the
-        # key embeds the query digest and index epochs, so sharing across
-        # sessions is safe; pass a private PlanCache to isolate.
+        # key is the query digest alone, so sharing across sessions is
+        # safe; pass a private PlanCache to isolate.
         self._plans = plans if plans is not None else shared_plans
         self._cycles: list[QueryCycle] = []
         self._position = -1  # index of the current cycle

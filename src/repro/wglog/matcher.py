@@ -172,13 +172,9 @@ def embeddings(
     )
     results = BindingSet()
     with trace_span(stats.trace, "match", engine=engine, language="wglog"):
-        if engine in ("pipeline", "adaptive"):
+        if engine == "pipeline":
             mappings = find_homomorphisms_setwise(
-                pattern,
-                instance.graph,
-                spec,
-                stats=stats,
-                adaptive=engine == "adaptive",
+                pattern, instance.graph, spec, stats=stats
             )
         else:
             mappings = find_homomorphisms(

@@ -30,17 +30,9 @@ repeated queries (through the plan cache,
 :mod:`repro.engine.plan_cache`) skip the analysis entirely.  Document-
 dependent state (candidate pools) is prepared per evaluation.
 
-Four engines share this module (``ExecOptions.engine``):
+Three engines share this module (``ExecOptions.engine``):
 
-* ``"adaptive"`` (default) runs the pipeline's fragment loop but decides
-  **per fragment** between set-at-a-time and backtracking evaluation by
-  comparing estimated costs (:mod:`repro.engine.estimator`,
-  :func:`repro.engine.planner.choose_fragment_engine`).  Fragments with
-  pushed-down predicates stay set-at-a-time (pool pre-filtering is the
-  pipeline's structural advantage); the shape-based hard fallbacks below
-  apply unchanged.  Cost-chosen backtracking fragments carry the trace
-  decision ``backtracking`` / reason ``cost``.
-* ``"pipeline"`` evaluates **set-at-a-time**: the paper's
+* ``"pipeline"`` (default) evaluates **set-at-a-time**: the paper's
   queries-are-graphs idiom makes every extract graph a relational join
   plan, so each acyclic query fragment is compiled to per-box candidate
   pools (from the :class:`~repro.engine.index.DocumentIndex`) plus binary
@@ -51,7 +43,8 @@ Four engines share this module (``ExecOptions.engine``):
   disconnected fragments — become hash equi-joins instead of filtered
   cross products.  Fragments the pipeline cannot cover (undirected cycles,
   ordered arcs, negation parents) fall back to the backtracking core *per
-  fragment* (counted in ``stats.pipeline_fallbacks``).
+  fragment* (counted in ``stats.pipeline_fallbacks``), and so do boxes
+  with no containment arc: they have nothing to semi-join.
 * ``"backtracking"`` is the node-at-a-time core: boxes ordered with
   :func:`repro.engine.planner.plan_order`, candidates narrowed dynamically
   from already-assigned neighbours via the interval-encoded index
@@ -84,7 +77,6 @@ from ..engine.conditions import (
     Operand,
     condition_variables,
 )
-from ..engine.estimator import CardinalityEstimator
 from ..engine.index import DocumentIndex
 from ..engine.joins import equijoin_key
 from ..engine.limits import arm_budget, mark_truncated
@@ -96,12 +88,7 @@ from ..engine.pipeline import (
     is_forest,
     relation_for,
 )
-from ..engine.planner import (
-    KERNEL_ITEM_COST,
-    FragmentCosts,
-    choose_fragment_engine,
-    plan_order,
-)
+from ..engine.planner import plan_order
 from ..engine.stats import EvalStats
 from ..engine.trace import Tracer, span as trace_span
 from ..errors import BudgetExceeded, QueryStructureError
@@ -159,10 +146,8 @@ def match(
                 prep = _prepare(branch, document, index, options, stats)
                 if prep is None:
                     continue
-                if engine in ("pipeline", "adaptive"):
-                    produced: Iterator[Binding] = _match_pipeline(
-                        prep, adaptive=engine == "adaptive"
-                    )
+                if engine == "pipeline":
+                    produced: Iterator[Binding] = _match_pipeline(prep)
                 else:
                     produced = _match_backtracking(prep)
                 for binding in produced:
@@ -802,15 +787,9 @@ def _fragment_bindings(
 # Set-at-a-time pipeline
 # ---------------------------------------------------------------------------
 
-def _match_pipeline(prep: _Prep, adaptive: bool = False) -> Iterator[Binding]:
+def _match_pipeline(prep: _Prep) -> Iterator[Binding]:
     """The set-at-a-time engine: semi-join pipeline with per-fragment
-    fallback; see the module docstring for the plan shape.
-
-    With ``adaptive=True`` each coverable fragment is cost-compared first
-    (:func:`_adaptive_decision`) and runs on the backtracking core when the
-    estimator says node-at-a-time is cheaper; hard fallbacks and the
-    cross-fragment combine stage are identical under both modes.
-    """
+    fallback; see the module docstring for the plan shape."""
     branch = prep.branch
     graph, stats = prep.graph, prep.stats
     tracer = stats.trace
@@ -837,25 +816,14 @@ def _match_pipeline(prep: _Prep, adaptive: bool = False) -> Iterator[Binding]:
 
     fragments: list[tuple[set[str], list[dict[str, object]]]] = []
     for ids, edges, fallback_reason in branch.components:
-        decision = "pipeline" if fallback_reason is None else "fallback"
-        costs: Optional[FragmentCosts] = None
-        if adaptive and fallback_reason is None:
-            costs = _adaptive_decision(prep, ids, edges)
-            if costs is not None and costs.engine == "backtracking":
-                decision = "backtracking"
         with trace_span(
             tracer,
             "match.fragment",
             variables=ids,
-            decision=decision,
-            reason="cost" if decision == "backtracking" else fallback_reason,
+            decision="pipeline" if fallback_reason is None else "fallback",
+            reason=fallback_reason,
         ) as fragment_span:
-            if fragment_span is not None and costs is not None:
-                fragment_span["est_pipeline"] = round(costs.pipeline, 1)
-                fragment_span["est_backtracking"] = round(costs.backtracking, 1)
-            if decision == "pipeline":
-                if adaptive:
-                    stats.bump("adaptive_pipeline")
+            if fallback_reason is None:
                 stats.pipeline_fragments += 1
                 rows_before = 0 if stats.budget is None else stats.budget.rows
                 try:
@@ -872,13 +840,6 @@ def _match_pipeline(prep: _Prep, adaptive: bool = False) -> Iterator[Binding]:
                     rows = _degrade_fragment(
                         prep, ids, pushed, fragment_span, rows_before
                     )
-            elif decision == "backtracking":
-                stats.bump("adaptive_backtracking")
-                rows = list(
-                    _fragment_bindings(
-                        prep, ids, pools=_pushdown_pools(prep, ids)
-                    )
-                )
             else:
                 stats.pipeline_fallbacks += 1
                 stats.bump(f"fallback_{fallback_reason}")
@@ -997,16 +958,21 @@ def _fallback_reason(
     """Why one fragment cannot run on the semi-join pipeline (or ``None``).
 
     Ordered arcs (an n-ary constraint over siblings), negation parents and
-    cyclic / multi-edge skeletons stay on the backtracking core.  These are
-    the *hard* fallbacks — correctness, not cost — so the adaptive engine
-    honours them before consulting the estimator.  The returned reason
-    string is stable — EXPLAIN output, fallback counters
-    (``stats.extra["fallback_<reason>"]``) and the trace all carry it.
+    cyclic / multi-edge skeletons stay on the backtracking core.  So does
+    a box with no containment arc (``edge-free``): with nothing to
+    semi-join, a set-at-a-time run would only copy the pool into a column
+    — and make the index rebuild its dense view after every structural
+    commit.  The rule reads the query graph alone, so it is decided at
+    compile time.  The returned reason string is stable — EXPLAIN output,
+    fallback counters (``stats.extra["fallback_<reason>"]``) and the trace
+    all carry it.
     """
     if any(e.ordered for e in edges):
         return "ordered"
     if any(e.parent in component for e in negated_edges):
         return "negated"
+    if not edges:
+        return "edge-free"
     if not is_forest(component, [(e.parent, e.child) for e in edges]):
         return "cyclic"
     return None
@@ -1018,10 +984,9 @@ def _pushdown_pools(
     """Per-box pool overrides applying pushed-down conditions.
 
     Conditions consumed by push-down never reach the final filter, so
-    fragments that run node-at-a-time (hard fallback or cost-chosen
-    backtracking) must apply them to their pools here — otherwise rows the
-    pipeline would have cut leak through.  Returns ``None`` when the
-    fragment has nothing pushed.
+    fallback fragments, which run node-at-a-time, must apply them to their
+    pools here — otherwise rows the pipeline would have cut leak through.
+    Returns ``None`` when the fragment has nothing pushed.
     """
     branch = prep.branch
     overrides: dict[str, list[Element]] = {}
@@ -1037,49 +1002,6 @@ def _pushdown_pools(
         )
         overrides[node_id] = pool
     return overrides or None
-
-
-def _adaptive_decision(
-    prep: _Prep, ids: list[str], edges: list[ContainmentEdge]
-) -> Optional[FragmentCosts]:
-    """Cost-compare one coverable fragment's two engines, or ``None``.
-
-    ``None`` means "no decision — run the pipeline": either the fragment
-    has pushed-down predicates (set-at-a-time applies them while building
-    pools, a leverage the walk-based cost model does not see) or the index
-    carries no statistics to estimate from.
-    """
-    branch = prep.branch
-    if any(branch.pushed.get(node_id) for node_id in ids):
-        return None
-    statistics = getattr(prep.index, "statistics", None)
-    if statistics is None:
-        return None
-    estimator = CardinalityEstimator(statistics)
-    graph = prep.graph
-    pool_sizes = {
-        node_id: len(prep.static_candidates[node_id]) for node_id in ids
-    }
-    edge_estimates = [
-        (
-            edge.parent,
-            edge.child,
-            estimator.scaled_edge_pairs(
-                graph.nodes[edge.parent].tag,
-                graph.nodes[edge.child].tag,
-                edge.deep,
-                pool_sizes[edge.parent],
-                pool_sizes[edge.child],
-            ),
-        )
-        for edge in edges
-    ]
-    return choose_fragment_engine(
-        pool_sizes,
-        edge_estimates,
-        enabled=prep.options.use_planner,
-        item_cost=KERNEL_ITEM_COST,
-    )
 
 
 def _operand_variables(operand: Operand) -> set[str]:

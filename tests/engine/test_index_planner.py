@@ -138,6 +138,17 @@ class TestPlanner:
         nodes = ["z", "a", "m"]
         assert plan_order(nodes, lambda n: 1, {}, enabled=False) == nodes
 
+    def test_planner_ablation_keeps_the_drawing_order(self):
+        # selective-first ordering starts at T (3) before B (1000);
+        # disabled, the drawing order starts at the huge pool
+        nodes = ["B", "T"]
+        sizes = {"B": 1000, "T": 3}
+        adjacency = {"B": ["T"], "T": ["B"]}
+        assert plan_order(nodes, sizes.__getitem__, adjacency) == ["T", "B"]
+        assert plan_order(
+            nodes, sizes.__getitem__, adjacency, enabled=False
+        ) == ["B", "T"]
+
     def test_every_node_exactly_once(self):
         nodes = list("abcdef")
         order = plan_order(nodes, lambda n: ord(n), {"a": ["f"]})

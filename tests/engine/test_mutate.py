@@ -3,6 +3,7 @@
 import pytest
 
 from repro.engine import DocumentIndex
+from repro.engine.cache import DocumentIndexCache
 from repro.engine.mutate import (
     MutationBatch,
     apply_batch,
@@ -10,6 +11,7 @@ from repro.engine.mutate import (
     ops_from_spec,
 )
 from repro.errors import MutationError
+from repro.session import QuerySession
 from repro.ssd import parse_document, serialize
 from repro.ssd.model import Element, Text
 
@@ -240,22 +242,6 @@ class TestIndexMaintenance:
         assert_index_matches_fresh(index, document)
         assert index.doc_revision == 40
 
-    def test_stats_epoch_bumps_only_on_structural_batches(self):
-        document = doc()
-        index = DocumentIndex(document)
-        epoch = index.stats_epoch
-        title = document.root.child_elements()[0].child_elements()[0]
-        apply_batch(
-            document, MutationBatch().update_value(title, "v"), indexes=[index]
-        )
-        assert index.stats_epoch == epoch
-        apply_batch(
-            document,
-            MutationBatch().insert_subtree(document.root, book("D", "2001")),
-            indexes=[index],
-        )
-        assert index.stats_epoch != epoch
-
     def test_maintenance_counters_track_work(self):
         document = doc()
         index = DocumentIndex(document)
@@ -268,6 +254,26 @@ class TestIndexMaintenance:
         after = index.maintenance_counters()
         assert after["structural_ops"] == before["structural_ops"] + 1
         assert after["labels_assigned"] > before["labels_assigned"]
+        assert after["stats_nodes"] == 0  # the index keeps no statistics
+
+    def test_edge_free_read_after_structural_commit_skips_dense_view(self):
+        # an edge-free box runs node-at-a-time, so reading it after a
+        # structural commit never rebuilds the kernels' dense view
+        document = doc()
+        indexes = DocumentIndexCache()
+        session = QuerySession(document, indexes=indexes)
+        index = indexes.get(document)
+        edge_free = (
+            "query { book as B { @year as Y } } construct { r { collect B } }"
+        )
+        session.run(edge_free)
+        before = index.maintenance_counters()["dense_rebuilds"]
+        session.mutate(
+            MutationBatch().insert_subtree(document.root, book("D", "2001"))
+        )
+        session.run(edge_free)
+        assert len(session.current().result.root.child_elements()) == 3
+        assert index.maintenance_counters()["dense_rebuilds"] == before
 
 
 class TestTouchedRegion:

@@ -1,13 +1,17 @@
 """Tests for the compiled-plan cache (repro.engine.plan_cache) and its
-wiring through QuerySession, tracing and stats-epoch invalidation."""
+wiring through QuerySession, tracing and document mutations."""
 
 import pytest
 
 from repro.engine.cache import DocumentIndexCache
+from repro.engine.mutate import MutationBatch
 from repro.engine.plan_cache import CompiledPlan, PlanCache
+from repro.engine.stats import EvalStats
 from repro.session import ExecOptions, QuerySession
 from repro.ssd import parse_document
 from repro.ssd.model import Element
+from repro.xmlgl.dsl import parse_rule
+from repro.xmlgl.evaluator import lookup_or_compile, rule_bindings
 
 QUERY = "query { book as B { title as T } } construct { r { collect T } }"
 OTHER = "query { book as B { @year as Y } } construct { r { collect Y } }"
@@ -102,32 +106,45 @@ class TestSessionWiring:
         assert len(plans) == 2
         assert session.current().stats.plan_cache_misses == 1
 
-    def test_stats_epoch_change_invalidates(self, caches):
+    def test_plan_survives_a_structural_commit(self, caches):
         indexes, plans = caches
         document = parse_document(XML)
         session = QuerySession(document, indexes=indexes, plans=plans)
         session.run(QUERY)
-        first = session.current()
-        assert first.stats.plan_cache_misses == 1
+        assert session.current().stats.plan_cache_misses == 1
 
-        # mutate the document and invalidate its index: the rebuilt index
-        # carries a fresh stats epoch, so the old plan key never matches
         book = Element("book")
         book.set("year", "2001")
         title = Element("title")
         title.append("C")
         book.append(title)
-        document.root.append(book)
-        assert indexes.invalidate(document)
+        result = session.mutate(
+            MutationBatch().insert_subtree(document.root, book)
+        )
+        assert result.structural
 
+        # plans depend only on the query graph: the commit keeps it warm
         session.run(QUERY)
         second = session.current()
-        assert second.stats.plan_cache_misses == 1
-        assert second.stats.plan_cache_hits == 0
-        # the recompiled plan sees the mutated document
+        assert second.stats.plan_cache_hits == 1
+        assert second.stats.plan_cache_misses == 0
+        assert len(plans) == 1
         assert "C" in second.result.text_content()
-        # the stale entry ages out of the LRU rather than being evented
-        assert len(plans) == 2
+
+        # the cached plan binds exactly what a fresh compile does
+        stats = EvalStats()
+        rule, _, cached = lookup_or_compile(
+            QUERY, document, indexes=indexes, plans=plans, stats=stats
+        )
+        assert stats.plan_cache_hits == 1
+        fresh = rule_bindings(
+            parse_rule(QUERY), document, indexes=DocumentIndexCache()
+        )
+        served = rule_bindings(rule, document, indexes=indexes, plan=cached)
+        assert len(fresh) == 3  # both original books plus the new one
+        assert sorted(b.key() for b in served) == sorted(
+            b.key() for b in fresh
+        )
 
     def test_semantically_equal_queries_share_one_entry(self, session, caches):
         _, plans = caches

@@ -131,7 +131,7 @@ def assert_index_fresh(index, document):
 
 @given(
     st.integers(0, 2**31 - 1),
-    st.sampled_from(["pipeline", "backtracking", "adaptive"]),
+    st.sampled_from(["pipeline", "backtracking"]),
 )
 @settings(max_examples=40, deadline=None)
 def test_subscription_rows_match_scratch_reeval(seed, engine):

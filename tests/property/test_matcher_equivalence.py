@@ -2,10 +2,9 @@
 
 Seeded generators build random documents and random (always-valid) query
 graphs; every case asserts that all engine/ablation combinations — the
-cost-based **adaptive** default, the set-at-a-time semi-join **pipeline**,
-the interval-**indexed** backtracking core and the **naive** full-scan
-path, each with the planner on and off — produce *identical* binding
-multisets.  The naive path is the
+set-at-a-time semi-join **pipeline** default, the interval-**indexed**
+backtracking core and the **naive** full-scan path, each with the planner
+on and off — produce *identical* binding multisets.  The naive path is the
 differential oracle: it touches neither the interval encoding nor the join
 pipeline, so agreement here is the correctness argument for both.
 
@@ -48,9 +47,6 @@ CONFIGS = [
     ExecOptions(engine="pipeline", use_planner=False),
     ExecOptions(engine="backtracking", use_planner=True),
     ExecOptions(engine="backtracking", use_planner=False),
-    # the cost-based selector must agree with whatever it picks
-    ExecOptions(engine="adaptive", use_planner=True),
-    ExecOptions(engine="adaptive", use_planner=False),
 ]
 
 

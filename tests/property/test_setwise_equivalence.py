@@ -172,7 +172,6 @@ RULES = [
 ]
 
 ENGINES = [
-    ExecOptions(engine="adaptive"),
     ExecOptions(engine="pipeline"),
     ExecOptions(engine="backtracking"),
     ExecOptions(engine="naive"),

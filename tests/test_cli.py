@@ -288,13 +288,14 @@ class TestExplainCommand:
         assert "semi-join" in output
         assert "->" in output
 
-    def test_shipped_example_adaptive_default(self):
-        # under the adaptive default the same example reports per-fragment
-        # cost decisions and the plan-cache outcome
+    def test_shipped_example_pipeline_default(self):
+        # without --engine the same example runs on the pipeline default
+        # and reports the plan-cache outcome
         status, output = run(["explain", "examples/fig_q3_join.xgl"])
         assert status == 0
-        assert "engine: adaptive" in output
+        assert "engine: pipeline" in output
         assert "plan: " in output
+        assert "join forest" in output
 
     def test_missing_file(self):
         status, _ = run(["explain", "/nonexistent.xgl"])

@@ -101,23 +101,23 @@ class TestSyntheticDefault:
         assert not report.synthetic_source
 
 
-class TestAdaptiveExplain:
-    def test_cost_chosen_backtracking_surfaces(self):
-        # one book among many titled entries: the walk from the single
-        # book touches one title, cheaper than materialising the whole
-        # title pool, and the report says so
-        doc = parse_document(
-            "<bib><book><title>A</title></book>"
-            + "<entry><title>X</title></entry>" * 40
-            + "</bib>"
+class TestDecisions:
+    def test_edge_free_fragment_surfaces_as_fallback(self):
+        # a box with no containment arc has nothing to semi-join, so the
+        # default pipeline runs it node-at-a-time and the report says why
+        report = explain(
+            "query { book as B { @year as Y } } construct { r { collect B } }",
+            DOC,
         )
-        report = explain(CHAIN, doc, options=ExecOptions(engine="adaptive"))
-        assert report.engine == "adaptive"
+        assert report.engine == "pipeline"
         [fragment] = report.graphs[0].fragments
-        assert fragment.decision == "backtracking"
-        assert fragment.reason == "cost"
-        assert fragment.est_pipeline >= fragment.est_backtracking > 0
-        assert "cost-chosen backtracking" in report.render_text()
+        assert fragment.decision == "fallback"
+        assert fragment.reason == "edge-free"
+        assert fragment.rows == 2
+        assert (
+            "fallback to backtracking (reason: edge-free)"
+            in report.render_text()
+        )
 
     def test_plan_source_cached_on_repeat(self):
         from repro.engine.cache import DocumentIndexCache

@@ -244,7 +244,7 @@ class TestObservability:
 
     def test_explain_explicit_query(self):
         report = QuerySession(DOC).explain(ALL)
-        assert report.engine in {"adaptive", "pipeline", "backtracking", "naive"}
+        assert report.engine in {"pipeline", "backtracking", "naive"}
         assert report.construct is not None
 
 

@@ -326,19 +326,40 @@ class TestStatsAndOptions:
         assert stats.hashjoin_rows > 0
         assert stats.edge_checks > 0
 
-    def test_stats_populated_adaptive_default(self, bib):
-        # the default engine is adaptive: per-fragment cost decisions are
-        # recorded, and the bindings match the forced engines
+    def test_stats_populated_pipeline_default(self, bib):
+        # the default engine is the pipeline: the fragment runs
+        # set-at-a-time, and "adaptive" is no longer an engine
+        assert ExecOptions().engine == "pipeline"
+        with pytest.raises(ValueError, match="unknown engine 'adaptive'"):
+            ExecOptions(engine="adaptive")
         q = QueryBuilder()
         book = q.box("book", id="B")
         q.box("title", id="T", parent=book)
         stats = EvalStats()
         match(q.graph(), bib, stats=stats)
         assert stats.bindings_produced == 3
-        decisions = stats.extra.get("adaptive_pipeline", 0) + stats.extra.get(
-            "adaptive_backtracking", 0
+        assert stats.pipeline_fragments == 1
+        assert stats.pipeline_fallbacks == 0
+        assert stats.hashjoin_rows > 0
+
+    def test_edge_free_fragment_runs_node_at_a_time(self, bib):
+        # a box with no containment arc has nothing to semi-join: the
+        # compile-time shape rule sends it to the backtracking core
+        q = QueryBuilder()
+        book = q.box("book", id="B")
+        q.attribute(book, "year", id="Y")
+        stats = EvalStats()
+        result = match(
+            q.graph(), bib, options=ExecOptions(trace=True), stats=stats
         )
-        assert decisions == 1
+        assert len(result) == len(
+            match(q.graph(), bib, options=ExecOptions(engine="naive"))
+        )
+        (fragment,) = stats.trace.find("match.fragment")
+        assert fragment.attributes["decision"] == "fallback"
+        assert fragment.attributes["reason"] == "edge-free"
+        assert stats.extra["fallback_edge-free"] == 1
+        assert stats.pipeline_fragments == 0
 
     def test_stats_populated_backtracking(self, bib):
         q = QueryBuilder()
@@ -358,7 +379,7 @@ class TestStatsAndOptions:
         q.attribute(book, "year", id="Y")
         baseline = match(q.graph(), bib)
         for planner in (True, False):
-            for engine in ("adaptive", "naive"):
+            for engine in ("pipeline", "naive"):
                 options = ExecOptions(engine=engine, use_planner=planner)
                 result = match(q.graph(), bib, options=options)
                 assert len(result) == len(baseline)
