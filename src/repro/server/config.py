@@ -152,7 +152,8 @@ class ServerConfig:
     max_workers: int = 8
     default_tenant: str = DEFAULT_TENANT
     tenants: tuple[TenantConfig, ...] = field(default_factory=tuple)
-    #: Seconds an idle keep-alive connection is held open.
+    #: Seconds an idle keep-alive connection is held open, and seconds a
+    #: begun request has to arrive in full before it is answered 408.
     idle_timeout_s: float = 60.0
     #: Hard cap on a request body (bytes); oversized requests get 413.
     max_body_bytes: int = 8 * 1024 * 1024

@@ -96,18 +96,46 @@ def json_response(payload: Any, status: int = 200) -> Response:
 
 
 async def read_request(
-    reader: asyncio.StreamReader, *, max_body_bytes: int
+    reader: asyncio.StreamReader,
+    *,
+    max_body_bytes: int,
+    timeout_s: float,
 ) -> Optional[Request]:
     """Read one request; ``None`` on a clean EOF before any bytes.
 
-    Raises :class:`ProtocolError` on malformed input and
-    ``asyncio.IncompleteReadError`` when the peer hangs up mid-request.
+    An idle connection that sends no byte within ``timeout_s`` also
+    reads as ``None``; a request that has begun but is not complete
+    ``timeout_s`` after its first byte raises :class:`ProtocolError`
+    408.  Raises :class:`ProtocolError` on malformed input and
+    ``asyncio.IncompleteReadError`` when the peer hangs up mid-body.
     """
     try:
-        head = await reader.readuntil(b"\r\n\r\n")
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None  # idle keep-alive connection closed cleanly
+        first = await asyncio.wait_for(reader.read(1), timeout_s)
+    except asyncio.TimeoutError:
+        return None
+    if not first:
+        return None  # idle keep-alive connection closed cleanly
+    try:
+        return await asyncio.wait_for(
+            _read_started_request(reader, first, max_body_bytes), timeout_s
+        )
+    except asyncio.TimeoutError:
+        raise ProtocolError(
+            408, f"request not complete within {timeout_s:g} s"
+        ) from None
+
+
+async def _read_started_request(
+    reader: asyncio.StreamReader, first: bytes, max_body_bytes: int
+) -> Request:
+    """The rest of a request whose first byte ``first`` was already read."""
+    if first == b"\r":
+        # No request line starts with CR; rejecting it here also keeps the
+        # CRLFCRLF terminator from straddling the byte already consumed.
+        raise ProtocolError(400, "malformed request line: leading CR")
+    try:
+        head = first + await reader.readuntil(b"\r\n\r\n")
+    except asyncio.IncompleteReadError:
         raise ProtocolError(400, "connection closed mid-request")
     except asyncio.LimitOverrunError:
         raise ProtocolError(413, f"request head exceeds {MAX_HEAD_BYTES} bytes")

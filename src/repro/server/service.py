@@ -396,16 +396,15 @@ class QueryService:
         try:
             while True:
                 try:
-                    request = await asyncio.wait_for(
-                        read_request(
-                            reader,
-                            max_body_bytes=self.config.max_body_bytes,
-                        ),
-                        timeout=self.config.idle_timeout_s,
+                    request = await read_request(
+                        reader,
+                        max_body_bytes=self.config.max_body_bytes,
+                        timeout_s=self.config.idle_timeout_s,
                     )
-                except (asyncio.TimeoutError, asyncio.IncompleteReadError):
+                except asyncio.IncompleteReadError:
                     break
                 except ProtocolError as exc:
+                    # includes the 408 for a request that stalled partway
                     writer.write(
                         encode_response(
                             json_response(

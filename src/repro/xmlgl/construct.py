@@ -23,22 +23,29 @@ emits a copy of each distinct element bound to its variable (the triangle).
 (the list icon).  ``Aggregate`` emits the value of COUNT/SUM/MIN/MAX/AVG
 over the context.  Copies are either *deep* (the starred construct arc:
 take the whole subtree) or *shallow* (tag + attributes only).
+
+Document order comes from the source documents' :class:`DocumentIndex`
+gap labels, never from a tree walk: copies are sorted by ``(tree rank,
+pre label)``, where the tree rank is the order in which each source
+document first appears among the copied elements.  The labels are
+maintained across commits, so the order stays exact under mutation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from ..engine.bindings import BindingSet
+from ..engine.cache import get_index
+from ..engine.index import DocumentIndex
 from ..errors import (
     EvaluationError,
     QueryStructureError,
     UnboundConstructVariable,
 )
 from ..ssd.datatypes import coerce
-from ..ssd.model import Element
-from ..ssd import navigation
+from ..ssd.model import Document, Element
 
 __all__ = [
     "NewElement",
@@ -174,45 +181,94 @@ ConstructNode = Union[
 ]
 
 
-def build(root: NewElement, bindings: BindingSet) -> Element:
+def build(
+    root: NewElement,
+    bindings: BindingSet,
+    *,
+    indexes: Optional[Sequence[DocumentIndex]] = None,
+) -> Element:
     """Evaluate a construct tree against a binding set.
 
     Returns the root element.  The root's ``for_each`` must be empty (a
     query produces one result document).
+
+    ``indexes`` are the source documents' indexes — the evaluator passes
+    the ones its match loop used — and order every copy; each bound
+    element must belong to one of them.  Left out, they are looked up in
+    the shared cache (:func:`repro.engine.cache.get_index`) for the
+    documents that hold the bound elements.
     """
     if root.for_each:
         raise QueryStructureError("the construct root cannot be replicated")
-    elements = _eval_new_element(root, bindings, root.tag)
+    if indexes is None:
+        indexes = _source_indexes(bindings)
+    elements = _eval_new_element(root, bindings, root.tag, indexes)
     assert len(elements) == 1
     return elements[0]
+
+
+def _source_indexes(bindings: BindingSet) -> list[DocumentIndex]:
+    """Indexes of the trees holding the bound elements, first-seen order.
+
+    A tree inside a :class:`Document` uses the shared cache; a bare
+    element tree has no document to cache under, so it is indexed for
+    this call only.
+    """
+    tops: dict[int, Union[Document, Element]] = {}
+    seen: set[int] = set()
+    for binding in bindings:
+        for value in binding.values():
+            if not isinstance(value, Element) or id(value) in seen:
+                continue
+            seen.add(id(value))
+            top: Union[Document, Element] = value
+            while top.parent is not None:
+                top = top.parent
+            tops.setdefault(id(top), top)
+    indexes = []
+    for top in tops.values():
+        if isinstance(top, Document):
+            indexes.append(get_index(top))
+        else:
+            # Index the bare tree through a view that leaves its root
+            # parentless (Document.append would adopt it).
+            view = Document()
+            view.children.append(top)
+            indexes.append(DocumentIndex(view))
+    return indexes
 
 
 # ---------------------------------------------------------------------------
 # Evaluation
 # ---------------------------------------------------------------------------
 
-def _eval_node(node: ConstructNode, context: BindingSet, path: str) -> list:
+def _eval_node(
+    node: ConstructNode,
+    context: BindingSet,
+    path: str,
+    indexes: Sequence[DocumentIndex],
+) -> list:
     """Evaluate one construct node to a list of result children.
 
     ``path`` names the node's position in the construct tree (e.g.
     ``result/entry[0]``) so evaluation errors point back at the drawing.
     """
     if isinstance(node, NewElement):
-        return _eval_new_element(node, context, path)
+        return _eval_new_element(node, context, path, indexes)
     if isinstance(node, TextLiteral):
         return [node.text]
     if isinstance(node, TextFrom):
         return [_text_of_context(node.variable, context, path)]
-    if isinstance(node, Copy):
-        return _copies(node.variable, node.deep, context)
-    if isinstance(node, Collect):
-        return _copies(node.variable, node.deep, context)
+    if isinstance(node, (Copy, Collect)):
+        return _copies(node.variable, node.deep, context, indexes)
     if isinstance(node, GroupBy):
         results: list = []
         for _, group in context.group_by(node.group_on):
             for child_index, child in enumerate(node.children):
                 results.extend(
-                    _eval_node(child, group, f"{path}/[{child_index}]")
+                    _eval_node(
+                        child, group, f"{path}/[{child_index}]", indexes
+                    )
                 )
         return results
     if isinstance(node, Aggregate):
@@ -221,7 +277,10 @@ def _eval_node(node: ConstructNode, context: BindingSet, path: str) -> list:
 
 
 def _eval_new_element(
-    node: NewElement, context: BindingSet, path: str
+    node: NewElement,
+    context: BindingSet,
+    path: str,
+    indexes: Sequence[DocumentIndex],
 ) -> list[Element]:
     contexts: list[BindingSet]
     if node.for_each:
@@ -252,7 +311,7 @@ def _eval_new_element(
                 if isinstance(child, NewElement)
                 else f"{path}/[{child_index}]"
             )
-            for result in _eval_node(child, sub_context, child_path):
+            for result in _eval_node(child, sub_context, child_path, indexes):
                 element.append(result)
         elements.append(element)
     return elements
@@ -291,31 +350,43 @@ def _distinct_values(variable: str, context: BindingSet) -> list:
     return values
 
 
-def _document_order_keys(elements: list[Element]) -> dict[int, tuple]:
-    """Document-order sort keys, one traversal per distinct tree."""
-    keys: dict[int, tuple] = {}
-    wanted = {id(e) for e in elements}
-    tops: dict[int, Element] = {}
+def _in_document_order(
+    elements: list[Element], indexes: Sequence[DocumentIndex]
+) -> list[Element]:
+    """``elements`` sorted by ``(tree rank, pre label)``.
+
+    A tree's rank is the order in which its document first appears among
+    ``elements``; within a tree the index's gap labels give document
+    order, so no tree is walked.
+    """
+    ranks: dict[int, int] = {}
+    keys: dict[int, tuple[int, int]] = {}
     for element in elements:
-        top = element
-        while top.parent is not None:
-            top = top.parent  # type: ignore[assignment]
-        tops.setdefault(id(top), top)
-    for tree_index, top in enumerate(tops.values()):
-        for position, node in enumerate(navigation.document_order(top)):
-            if id(node) in wanted:
-                keys[id(node)] = (tree_index, position)
-    return keys
+        for index in indexes:
+            if index.covers(element):
+                break
+        else:
+            raise EvaluationError(
+                f"bound element <{element.tag}> is not in an indexed source "
+                "document (edit documents through mutate(), or invalidate "
+                "their index after a raw tree edit)"
+            )
+        rank = ranks.setdefault(id(index), len(ranks))
+        keys[id(element)] = (rank, index.position(element))
+    return sorted(elements, key=lambda e: keys[id(e)])
 
 
-def _copies(variable: str, deep: bool, context: BindingSet) -> list:
+def _copies(
+    variable: str,
+    deep: bool,
+    context: BindingSet,
+    indexes: Sequence[DocumentIndex],
+) -> list:
     values = _distinct_values(variable, context)
     elements = [v for v in values if isinstance(v, Element)]
     atoms = [v for v in values if not isinstance(v, Element)]
-    order = _document_order_keys(elements)
-    elements.sort(key=lambda e: order[id(e)])
     results: list = []
-    for element in elements:
+    for element in _in_document_order(elements, indexes):
         if deep:
             results.append(element.copy())
         else:

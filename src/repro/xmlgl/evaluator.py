@@ -23,6 +23,7 @@ from typing import Mapping, Optional, Union
 from ..engine.bindings import BindingSet
 from ..engine.cache import DocumentIndexCache, shared_cache
 from ..engine.conditions import DocumentAccessor
+from ..engine.index import DocumentIndex
 from ..engine.limits import QueryBudget, arm_budget, mark_truncated, truncate_element
 from ..engine.options import ExecOptions
 from ..engine.plan_cache import CompiledPlan, PlanCache, shared_plans
@@ -358,6 +359,27 @@ def rule_bindings(
     return combined
 
 
+def _matched_indexes(
+    rule: Rule,
+    sources: Sources,
+    indexes: Optional[DocumentIndexCache],
+    stats: EvalStats,
+) -> list[DocumentIndex]:
+    """The indexes :func:`rule_bindings` matched ``rule``'s graphs against.
+
+    ``peek`` leaves the cache's counters and LRU order alone, so each
+    index lookup is counted once per evaluation; only an entry that a
+    concurrent evaluation evicted or was reordering is fetched again.
+    """
+    cache = indexes if indexes is not None else shared_cache
+    used = []
+    for graph in rule.queries:
+        document = _resolve_source(graph, sources)
+        index = cache.peek(document)
+        used.append(index if index is not None else cache.get(document, stats))
+    return used
+
+
 def evaluate_rule(
     rule: Rule,
     sources: Sources,
@@ -405,7 +427,10 @@ def evaluate_rule(
                     raise
                 if not stats.extra.get("truncated"):
                     mark_truncated(stats, exc.limit)
-        result = build(rule.construct, bindings)
+        # No bindings, nothing to order: a preflight skip never looked up
+        # an index, and a peek that misses would build one.
+        used = _matched_indexes(rule, sources, indexes, stats) if bindings else []
+        result = build(rule.construct, bindings, indexes=used)
         if state is not None:
             try:
                 state.check_result_nodes(result.size())

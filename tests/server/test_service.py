@@ -1,5 +1,7 @@
 """The HTTP endpoint surface: routing, payloads, status mapping."""
 
+import socket
+
 import pytest
 
 from repro.server import DocumentStore, ServerConfig, TenantConfig
@@ -277,6 +279,60 @@ class TestMetricsEndpoint:
         assert tenant["engine"]["errors"] == err_count
         assert tenant["admission"]["completed"] == ok_count + err_count
         assert tenant["admission"]["errors"] == err_count
+
+
+def read_until_close(sock):
+    sock.settimeout(5.0)
+    chunks = []
+    while True:
+        chunk = sock.recv(4096)
+        if not chunk:
+            return b"".join(chunks)
+        chunks.append(chunk)
+
+
+class TestStalledRequests:
+    """A begun request that stalls is answered 408; an idle one is not."""
+
+    @pytest.fixture
+    def server(self, bib_store, server_factory):
+        config = ServerConfig(port=0, max_workers=2, idle_timeout_s=0.3)
+        return server_factory(config, store=bib_store)
+
+    @pytest.mark.parametrize(
+        "partial",
+        [
+            b"POST /query HTTP/1.1\r\nHost: x\r\n",
+            b"POST /query HTTP/1.1\r\nContent-Length: 40\r\n\r\n{\"query\":",
+        ],
+        ids=["head", "body"],
+    )
+    def test_stalled_request_gets_408_and_close(self, server, partial):
+        with socket.create_connection(server.address) as sock:
+            sock.sendall(partial)
+            reply = read_until_close(sock)
+        assert reply.startswith(b"HTTP/1.1 408 Request Timeout\r\n")
+        assert b"\r\nConnection: close\r\n" in reply
+        assert b'"type": "ProtocolError"' in reply
+
+    def test_blank_line_before_request_line_is_400_at_once(self, server):
+        # the byte read to detect a started request must not hide the
+        # head's terminator from the parser
+        with socket.create_connection(server.address) as sock:
+            sock.sendall(b"\r\n\r\n")
+            reply = read_until_close(sock)
+        assert reply.startswith(b"HTTP/1.1 400 Bad Request\r\n")
+
+    def test_idle_connection_closes_silently(self, server):
+        with socket.create_connection(server.address) as sock:
+            assert read_until_close(sock) == b""
+
+    def test_idle_keep_alive_after_a_request_closes_silently(self, server):
+        with socket.create_connection(server.address) as sock:
+            sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+            reply = read_until_close(sock)
+        assert reply.startswith(b"HTTP/1.1 200 OK\r\n")
+        assert reply.count(b"HTTP/1.1") == 1
 
 
 class TestShutdown:
