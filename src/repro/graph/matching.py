@@ -21,7 +21,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Callable, Hashable, Iterator, Optional
+from typing import Callable, Collection, Hashable, Iterable, Iterator, Optional
 
 from ..engine.narrowing import intersect_pools
 from ..engine.pipeline import connected_components, evaluate_forest, is_forest, relation_for
@@ -75,6 +75,12 @@ class MatchSpec:
         negated_edges: pattern edges that must **not** have a counterpart in
             the data graph (crossed-out edges in WG-Log / XML-GL).  Both
             endpoints must also occur in positive pattern structure.
+        candidates: seeded pools.  A pattern node listed here draws its
+            candidates from these data nodes only (still filtered by
+            ``node_compat``) instead of scanning the whole data graph.
+        edge_pairs: restricted relations.  A direct pattern edge listed
+            here matches only these ``(source, target)`` pairs, each of
+            which must be a data edge carrying the pattern edge's label.
     """
 
     injective: bool = True
@@ -82,6 +88,10 @@ class MatchSpec:
     path_edges: set[Edge] = field(default_factory=set)
     negated_edges: set[Edge] = field(default_factory=set)
     narrow: bool = True
+    candidates: dict[NodeId, Iterable[NodeId]] = field(default_factory=dict)
+    edge_pairs: dict[Edge, Collection[tuple[NodeId, NodeId]]] = field(
+        default_factory=dict
+    )
 
 
 def _default_compat(pattern: LabeledGraph, data: LabeledGraph) -> NodeCompat:
@@ -126,7 +136,11 @@ def find_homomorphisms(
     candidates: dict[NodeId, list[NodeId]] = {}
     candidate_sets: dict[NodeId, set[NodeId]] = {}
     for pnode in pattern_nodes:
-        cands = [dnode for dnode in data.nodes() if compat(pnode, dnode)]
+        cands = [
+            dnode
+            for dnode in spec.candidates.get(pnode, data.nodes())
+            if compat(pnode, dnode)
+        ]
         if budget is not None:
             budget.charge(max(1, len(cands)))
         if not cands:
@@ -163,6 +177,9 @@ def find_homomorphisms(
             return True  # checked when the other endpoint is assigned
         if edge in spec.path_edges:
             return reaches(src, dst, edge.label)
+        pairs = spec.edge_pairs.get(edge)
+        if pairs is not None:
+            return (src, dst) in pairs
         return data.has_edge(src, dst, edge.label)
 
     def negations_ok() -> bool:
@@ -228,29 +245,22 @@ def find_homomorphisms_setwise(
     to candidate pools plus edge relations and evaluated through
     :func:`repro.engine.pipeline.evaluate_forest` (semi-join reduction,
     then hash joins).  Components the pipeline cannot cover — cyclic
-    skeletons, path edges, negated edges — and injective runs (a global
-    constraint no per-component plan can honour) fall back to the
-    backtracking matcher; fallbacks are tallied in
-    ``stats.pipeline_fallbacks``.  Yields the same mappings as
-    :func:`find_homomorphisms`, though possibly in a different order.
+    skeletons, path edges, negated edges — fall back to the backtracking
+    matcher; fallbacks are tallied in ``stats.pipeline_fallbacks``.
+    Seeded pools (``spec.candidates``) and restricted relations
+    (``spec.edge_pairs``) are honoured on both routes.
+
+    Injectivity is a filter, not a route: every component runs as a
+    homomorphism, and merged rows that map two pattern nodes to one data
+    node are dropped, counted in ``stats.extra["injective_dropped"]``.
+    Yields the same mappings as :func:`find_homomorphisms`, though
+    possibly in a different order.
     """
     spec = spec or MatchSpec()
     stats = stats if stats is not None else EvalStats()
     pattern_nodes = list(pattern.nodes())
     if not pattern_nodes:
         yield {}
-        return
-    if spec.injective:
-        stats.pipeline_fallbacks += 1
-        stats.bump("fallback_injective")
-        with trace_span(
-            stats.trace,
-            "match.fragment",
-            variables=[str(p) for p in pattern_nodes],
-            decision="fallback",
-            reason="injective",
-        ):
-            yield from find_homomorphisms(pattern, data, spec, stats=stats)
         return
 
     compat = spec.node_compat or _default_compat(pattern, data)
@@ -280,12 +290,14 @@ def find_homomorphisms_setwise(
                     e for e in spec.negated_edges if e.source in component
                 },
                 narrow=spec.narrow,
+                candidates=spec.candidates,
+                edge_pairs=spec.edge_pairs,
             )
             if fallback_reason is None:
                 stats.pipeline_fragments += 1
                 rows_before = 0 if stats.budget is None else stats.budget.rows
                 try:
-                    rows = _setwise_component(nodes, edges, data, compat, stats)
+                    rows = _setwise_component(nodes, edges, data, subspec, stats)
                 except BudgetExceeded as exc:
                     if exc.limit != "max_hashjoin_rows":
                         raise
@@ -330,6 +342,9 @@ def find_homomorphisms_setwise(
         merged: dict[NodeId, NodeId] = {}
         for part in combo:
             merged.update(part)
+        if spec.injective and len(set(merged.values())) < len(merged):
+            stats.bump("injective_dropped")
+            continue
         yield merged
 
 
@@ -354,7 +369,7 @@ def _setwise_component(
     nodes: list[NodeId],
     edges: list[Edge],
     data: LabeledGraph,
-    compat: NodeCompat,
+    spec: MatchSpec,
     stats: EvalStats,
 ) -> list[dict[NodeId, NodeId]]:
     """Pools + edge relations + forest evaluation for one component.
@@ -363,17 +378,28 @@ def _setwise_component(
     pool is a sorted ``array('i')`` of positions and each edge relation a
     :class:`~repro.engine.joins.ColumnRelation` — the same int-column
     representation the XML-GL pipeline runs on.  Assembled rows map back
-    to node ids through the position table.
+    to node ids through the position table.  A seeded pool filters only
+    its seeds; a restricted relation is built from its pairs alone.
     """
+    compat = spec.node_compat
+    assert compat is not None
     node_ids = list(data.nodes())
     position = {node: i for i, node in enumerate(node_ids)}
     budget = stats.budget
     pools: dict[NodeId, array] = {}
     pool_sets: dict[NodeId, set[int]] = {}
     for pnode in nodes:
-        pool = array(
-            "i", (i for i, dnode in enumerate(node_ids) if compat(pnode, dnode))
-        )
+        seeds = spec.candidates.get(pnode)
+        if seeds is None:
+            pool = array(
+                "i",
+                (i for i, dnode in enumerate(node_ids) if compat(pnode, dnode)),
+            )
+        else:
+            pool = array(
+                "i",
+                sorted({position[d] for d in seeds if compat(pnode, d)}),
+            )
         if budget is not None:
             budget.charge(max(1, len(pool)))
         if not pool:
@@ -387,7 +413,22 @@ def _setwise_component(
         left = array("i")
         right = array("i")
         seen: set[tuple[int, int]] = set()
-        if len(pools[edge.source]) <= len(pools[edge.target]):
+        restricted = spec.edge_pairs.get(edge)
+        if restricted is not None:
+            source_set = pool_sets[edge.source]
+            target_set = pool_sets[edge.target]
+            for source_node, target_node in restricted:
+                source = position[source_node]
+                target = position[target_node]
+                if (
+                    source in source_set
+                    and target in target_set
+                    and (source, target) not in seen
+                ):
+                    seen.add((source, target))
+                    left.append(source)
+                    right.append(target)
+        elif len(pools[edge.source]) <= len(pools[edge.target]):
             target_set = pool_sets[edge.target]
             for source in pools[edge.source]:
                 for node in data.successors(node_ids[source], edge.label):

@@ -47,9 +47,17 @@ class InstanceGraph:
         return self.graph.add_node(node_id, label)
 
     def add_slot(self, entity: NodeId, name: str, value: Atomic) -> NodeId:
-        """Attach slot ``name = value`` to ``entity``; returns the slot node id."""
+        """Set slot ``name = value`` on ``entity``; returns the slot node id.
+
+        Slots are single-valued: when ``entity`` already has a slot
+        ``name``, its value is replaced in place.
+        """
         if entity not in self.graph:
             raise KeyError(f"unknown entity {entity!r}")
+        for edge in self.graph.out_edges(entity, name):
+            if self.is_slot(edge.target):
+                self.graph.add_node(edge.target, SLOT_LABEL, value=value)
+                return edge.target
         slot_id = self._next_id(f"{entity}.{name}")
         self.graph.add_node(slot_id, SLOT_LABEL, value=value)
         self.graph.add_edge(entity, slot_id, name)

@@ -17,7 +17,8 @@ subgraph matcher.  Two WG-Log specifics are layered on top:
 
 from __future__ import annotations
 
-from typing import Any, Hashable, Optional
+from dataclasses import replace
+from typing import Any, Callable, Hashable, Iterator, Optional, Sequence
 
 from ..engine.bindings import Binding, BindingSet
 from ..engine.conditions import condition_variables
@@ -32,7 +33,9 @@ from .ast import Color, RuleEdge, RuleGraph
 from .data import SLOT_LABEL, InstanceGraph
 from .schema import WGSchema
 
-__all__ = ["GraphAccessor", "embeddings", "check_against_schema"]
+__all__ = [
+    "GraphAccessor", "embeddings", "check_against_schema", "delta_restrictable",
+]
 
 NodeId = Hashable
 
@@ -100,6 +103,7 @@ def embeddings(
     options: Optional[ExecOptions] = None,
     trace: Optional[bool] = None,
     budget: Optional[QueryBudget] = None,
+    delta: Optional[Sequence[Edge]] = None,
 ) -> BindingSet:
     """All embeddings of the rule's red part into ``instance``.
 
@@ -118,7 +122,17 @@ def embeddings(
     ``options.engine`` picks the evaluation strategy: the set-at-a-time
     pipeline (default; forest-shaped rule fragments reduce by semi-joins,
     the rest falls back per fragment), the node-at-a-time backtracking
-    core, or the narrowing-free naive scan (the ablation baseline).
+    core, or the narrowing-free naive scan (the ablation baseline).  Each
+    ∀-negated crossed edge is one anti-join on the same engine: its
+    fragment is matched once, seeded with the boundary values the core
+    rows bind, and every core row whose boundary tuple it hits is dropped.
+
+    ``delta`` (keyword-only) is the semi-naive hint: the instance edges
+    added since this rule last matched.  Embeddings that use none of them
+    may then be skipped — each positive red edge is matched in turn
+    against the delta alone, and the union returned.  A rule the
+    restriction cannot cover (see :func:`delta_restrictable`) is matched
+    in full.
 
     ``preflight`` (default on) first asks the static analyser whether the
     red part can embed anywhere at all; a proof of unsatisfiability —
@@ -163,7 +177,10 @@ def embeddings(
     core_ids, fragments = _split_negation(rule)
     pattern, spec_edges = _red_pattern(rule, core_ids)
     engine = options.engine
-    spec = MatchSpec(
+    match = (
+        find_homomorphisms_setwise if engine == "pipeline" else find_homomorphisms
+    )
+    base = MatchSpec(
         injective=injective,
         node_compat=_compat(rule, instance),
         path_edges=spec_edges["path"],
@@ -172,27 +189,23 @@ def embeddings(
     )
     results = BindingSet()
     with trace_span(stats.trace, "match", engine=engine, language="wglog"):
-        if engine == "pipeline":
-            mappings = find_homomorphisms_setwise(
-                pattern, instance.graph, spec, stats=stats
-            )
-        else:
-            mappings = find_homomorphisms(
-                pattern, instance.graph, spec, stats=stats
-            )
-
         try:
+            if delta is not None and delta_restrictable(rule):
+                mappings = _delta_mappings(
+                    pattern, instance, base, match, delta, stats
+                )
+            else:
+                mappings = match(pattern, instance.graph, base, stats=stats)
+            for crossed, fragment in fragments:
+                if fragment:
+                    mappings = _anti_join(
+                        list(mappings), rule, instance, crossed, fragment,
+                        base, match, stats,
+                    )
             for mapping in mappings:
                 stats.candidates_tried += 1
                 if state is not None:
                     state.charge()
-                if any(
-                    _fragment_exists(
-                        rule, instance, fragment, crossed, mapping, injective
-                    )
-                    for crossed, fragment in fragments
-                ):
-                    continue
                 binding = Binding(mapping)
                 ok = True
                 for condition in rule.conditions:
@@ -317,9 +330,12 @@ def _red_pattern(
 def _compat(rule: RuleGraph, instance: InstanceGraph):
     """Node compatibility: labels must agree and entities never bind slots."""
 
+    wanted_labels = {node.id: node.label for node in rule.nodes.values()}
+    label = instance.graph.label
+
     def compat(pnode: NodeId, dnode: NodeId) -> bool:
-        wanted = rule.nodes[pnode].label
-        actual = instance.graph.label(dnode)
+        wanted = wanted_labels[pnode]
+        actual = label(dnode)
         if actual == SLOT_LABEL:
             return wanted == SLOT_LABEL
         return wanted is None or wanted == actual
@@ -327,51 +343,101 @@ def _compat(rule: RuleGraph, instance: InstanceGraph):
     return compat
 
 
-def _fragment_exists(
+def _anti_join(
+    rows: list[dict[str, NodeId]],
     rule: RuleGraph,
     instance: InstanceGraph,
-    fragment: set[str],
     crossed: RuleEdge,
-    mapping: dict[str, NodeId],
-    injective: bool,
-) -> bool:
-    """Does the ∀-negated fragment embed, given the core assignment?
+    fragment: set[str],
+    base: MatchSpec,
+    match: Callable[..., Iterator[dict[str, NodeId]]],
+    stats: EvalStats,
+) -> list[dict[str, NodeId]]:
+    """Core rows with no embedding of one ∀-negated fragment.
 
-    For pairwise negations (empty fragment) the generic matcher has already
-    handled the check via ``negated_edges``; return False here.
+    Fragment nodes are exactly the red nodes that appear only behind
+    crossed edges, so the fragment pattern is the crossed edge alone, made
+    positive, between its far node and its bound boundary node.  It is
+    matched once with the boundary pool seeded from the core rows; a row
+    survives when its boundary value is not among the hits.  Injective
+    mode keeps the far node off the boundary node.
     """
-    if not fragment:
-        return False
-    boundary = {crossed.source, crossed.target} - fragment
+    if not rows:
+        return rows
+    boundary = [n for n in (crossed.source, crossed.target) if n not in fragment]
     pattern = LabeledGraph()
-    for node_id in fragment | boundary:
-        node = rule.nodes[node_id]
-        pattern.add_node(node_id, node.label or "*")
-    # the crossed edge becomes a *positive* requirement inside the check
-    path_edges: set[Edge] = set()
-    crossed_edge = Edge(crossed.source, crossed.target, crossed.label)
+    for node_id in sorted(fragment) + boundary:
+        pattern.add_node(node_id, rule.nodes[node_id].label or "*")
     pattern.add_edge(crossed.source, crossed.target, crossed.label)
-    if crossed.path:
-        path_edges.add(crossed_edge)
-    for edge in rule.red_edges():
-        if edge is crossed or edge.crossed:
-            continue
-        if edge.source in fragment or edge.target in fragment:
-            graph_edge = Edge(edge.source, edge.target, edge.label)
-            pattern.add_edge(edge.source, edge.target, edge.label)
-            if edge.path:
-                path_edges.add(graph_edge)
-
-    base_compat = _compat(rule, instance)
-
-    def compat(pnode: NodeId, dnode: NodeId) -> bool:
-        if pnode in boundary:
-            return dnode == mapping[pnode]
-        return base_compat(pnode, dnode)
-
+    edge = Edge(crossed.source, crossed.target, crossed.label)
     spec = MatchSpec(
-        injective=injective, node_compat=compat, path_edges=path_edges
+        injective=base.injective,
+        node_compat=base.node_compat,
+        path_edges={edge} if crossed.path else set(),
+        narrow=base.narrow,
+        candidates={
+            node: list(dict.fromkeys(row[node] for row in rows))
+            for node in boundary
+        },
     )
-    for _ in find_homomorphisms(pattern, instance.graph, spec):
-        return True
-    return False
+    hits = {
+        tuple(found[node] for node in boundary)
+        for found in match(pattern, instance.graph, spec, stats=stats)
+    }
+    kept = [row for row in rows if tuple(row[n] for n in boundary) not in hits]
+    stats.bump("antijoin_dropped", len(rows) - len(kept))
+    return kept
+
+
+# ---------------------------------------------------------------------------
+# Semi-naive restriction
+# ---------------------------------------------------------------------------
+
+def delta_restrictable(rule: RuleGraph) -> bool:
+    """Is "some positive red edge maps into the delta" a sound restriction?
+
+    It is when matching is monotone in the edge set (no crossed edges, no
+    conditions reading slots), every red edge is a direct one (a path may
+    run through new edges without one of its own being new) and every red
+    node touches a red edge (an isolated node could bind a node no delta
+    edge mentions).
+    """
+    red_edges = rule.red_edges()
+    if rule.conditions or any(e.crossed or e.path for e in red_edges):
+        return False
+    touched = {e.source for e in red_edges} | {e.target for e in red_edges}
+    return all(node.id in touched for node in rule.red_nodes())
+
+
+def _delta_mappings(
+    pattern: LabeledGraph,
+    instance: InstanceGraph,
+    base: MatchSpec,
+    match: Callable[..., Iterator[dict[str, NodeId]]],
+    delta: Sequence[Edge],
+    stats: EvalStats,
+) -> list[dict[str, NodeId]]:
+    """Mappings that send at least one pattern edge onto a delta edge.
+
+    One run per pattern edge, with that edge's relation restricted to the
+    delta edges of its label and its endpoint pools seeded from theirs;
+    a mapping found by several runs is kept once.
+    """
+    by_label: dict[str, dict[tuple[NodeId, NodeId], None]] = {}
+    for edge in delta:
+        by_label.setdefault(edge.label, {})[edge.source, edge.target] = None
+    found: dict[frozenset, dict[str, NodeId]] = {}
+    for edge in pattern.edges():
+        pairs = by_label.get(edge.label)
+        if not pairs:
+            continue
+        sources = dict.fromkeys(source for source, _ in pairs)
+        targets = dict.fromkeys(target for _, target in pairs)
+        if edge.source == edge.target:
+            candidates = {edge.source: [n for n in sources if n in targets]}
+        else:
+            candidates = {edge.source: list(sources), edge.target: list(targets)}
+        spec = replace(base, candidates=candidates, edge_pairs={edge: pairs.keys()})
+        for mapping in match(pattern, instance.graph, spec, stats=stats):
+            found.setdefault(frozenset(mapping.items()), mapping)
+    return list(found.values())

@@ -21,25 +21,34 @@ leaves them open):
   matches satisfies the collector.
 * Rules with crossed edges are treated as in stratified Datalog: apply
   them after the rules that derive their negated labels (the caller
-  controls rule order; rounds re-run all rules, so a monotone program
-  converges regardless).
+  controls rule order; every round applies every rule, so a monotone
+  program converges regardless).
+* A program whose rules all derive edges from edges alone runs
+  semi-naive rounds: from its second application on, a rule matches
+  only embeddings that use an edge added since it last started
+  matching.  Any other program runs naive rounds that re-match every
+  rule against the whole instance.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Hashable, Optional
 
 from ..engine.bindings import Binding
 from ..engine.stats import EvalStats
 from ..errors import EvaluationError
 from ..graph.matching import MatchSpec, find_homomorphisms
-from ..graph.labeled_graph import LabeledGraph
-from .ast import Color, RuleGraph
+from ..graph.labeled_graph import Edge, LabeledGraph
+from .ast import Color, RuleGraph, RuleNode, SlotAssertion
 from .data import InstanceGraph
-from .matcher import embeddings
+from .matcher import delta_restrictable, embeddings
 from .schema import WGSchema
 
-__all__ = ["satisfies", "apply_rule", "apply_program", "query", "answer_graph"]
+__all__ = [
+    "satisfies", "apply_rule", "apply_program", "semi_naive_eligible",
+    "EdgeLog", "query", "answer_graph",
+]
 
 NodeId = Hashable
 
@@ -80,10 +89,25 @@ def satisfies(
 ) -> bool:
     """Declarative reading: every red embedding has a green extension."""
     matched = embeddings(rule, instance, schema=schema, injective=injective)
+    plan = _GreenPlan(rule)
     for binding in matched:
-        if not _green_satisfied(rule, instance, binding):
+        if not _green_satisfied(plan, instance, binding):
             return False
     return _collectors_satisfied(rule, instance, list(matched))
+
+
+@dataclass
+class EdgeLog:
+    """The semi-naive bookkeeping one rule application is handed.
+
+    ``edges`` is append-only: every edge rule instantiation added during
+    the program run, in order.  ``start`` marks where this rule's previous
+    application started matching, so ``edges[start:]`` is its delta;
+    ``None`` means the rule has not matched yet and matches in full.
+    """
+
+    edges: list[Edge]
+    start: Optional[int] = None
 
 
 def apply_rule(
@@ -92,21 +116,35 @@ def apply_rule(
     schema: Optional[WGSchema] = None,
     injective: bool = False,
     stats: Optional[EvalStats] = None,
+    *,
+    delta: Optional[EdgeLog] = None,
 ) -> int:
     """Generative reading: mutate ``instance`` minimally; return additions.
 
     The returned count is the number of nodes + edges + slots added; zero
-    means the instance already satisfied the rule.
+    means the instance already satisfied the rule.  ``delta`` (keyword
+    only; see :func:`apply_program`) restricts matching to embeddings that
+    use an edge of ``delta.edges[delta.start:]`` and appends the edges
+    this application adds to ``delta.edges``.
     """
+    new_edges = None
+    if delta is not None and delta.start is not None:
+        new_edges = delta.edges[delta.start:]
     matched = list(
-        embeddings(rule, instance, schema=schema, injective=injective, stats=stats)
+        embeddings(
+            rule, instance, schema=schema, injective=injective, stats=stats,
+            delta=new_edges,
+        )
     )
+    plan = _GreenPlan(rule)
+    log = None if delta is None else delta.edges
     additions = 0
-    collector_ids = {n.id for n in rule.green_nodes() if n.collector}
     for binding in matched:
-        if _green_satisfied(rule, instance, binding):
+        # instantiation adds only missing edges and slots, so the full
+        # check is needed only before it would create green nodes
+        if plan.plain and _green_satisfied(plan, instance, binding):
             continue
-        additions += _instantiate_green(rule, instance, binding, collector_ids)
+        additions += _instantiate_green(plan, instance, binding, log)
     additions += _instantiate_collectors(rule, instance, matched)
     return additions
 
@@ -121,16 +159,32 @@ def apply_program(
 ) -> int:
     """Apply rules round-robin until no rule adds anything.
 
+    When every rule is :func:`semi_naive_eligible`, rounds are semi-naive:
+    from its second application on, a rule matches only embeddings that
+    use an edge added since its previous application started matching —
+    its own additions included.  Such a rule derives edges from edges, so
+    every embedding it has not yet seen uses one of those edges, and each
+    round adds exactly what a naive round would.  Any other program runs
+    naive rounds that re-match every rule against the whole instance.
+
     Returns total additions.  Raises :class:`EvaluationError` when
     ``max_rounds`` passes do not reach a fixpoint (unsafe recursion).
     """
+    deltas: list[Optional[EdgeLog]] = [None] * len(rules)
+    if all(semi_naive_eligible(rule) for rule in rules):
+        log: list[Edge] = []
+        deltas = [EdgeLog(log) for _ in rules]
     total = 0
     for _ in range(max_rounds):
         round_additions = 0
-        for rule in rules:
+        for rule, delta in zip(rules, deltas):
+            start = None if delta is None else len(delta.edges)
             round_additions += apply_rule(
-                instance, rule, schema=schema, injective=injective, stats=stats
+                instance, rule, schema=schema, injective=injective,
+                stats=stats, delta=delta,
             )
+            if delta is not None:
+                delta.start = start
         total += round_additions
         if round_additions == 0:
             return total
@@ -140,11 +194,137 @@ def apply_program(
     )
 
 
+def semi_naive_eligible(rule: RuleGraph) -> bool:
+    """Can the rule run semi-naive rounds inside :func:`apply_program`?
+
+    It can when it only adds green edges between red nodes (no green
+    nodes, collectors or slot assertions) and its matching may be
+    restricted to a delta (:func:`~repro.wglog.matcher.delta_restrictable`:
+    no crossed edges, path edges or conditions, no isolated red node).
+    """
+    return (
+        not rule.green_nodes()
+        and not rule.slot_assertions
+        and delta_restrictable(rule)
+    )
+
+
 # ---------------------------------------------------------------------------
-# Green-part satisfaction
+# Green-part satisfaction and instantiation
 # ---------------------------------------------------------------------------
 
-def _resolve_slot_value(rule: RuleGraph, instance, binding: Binding, assertion):
+class _GreenPlan:
+    """The rule-constant half of green satisfaction and instantiation.
+
+    Built once per rule application and shared by :func:`satisfies` and
+    :func:`apply_rule`; per binding only values are looked up.
+    """
+
+    def __init__(self, rule: RuleGraph) -> None:
+        collector_ids = {n.id for n in rule.green_nodes() if n.collector}
+        self.plain = [n for n in rule.green_nodes() if not n.collector]
+        #: green edges instantiated per binding (no collector endpoint)
+        self.edges = [
+            e for e in rule.green_edges()
+            if e.source not in collector_ids and e.target not in collector_ids
+        ]
+        #: slot assertions instantiated per binding (no collector target)
+        self.slots = [a for a in rule.slot_assertions if a.node not in collector_ids]
+        self.red_edges = [
+            e for e in self.edges
+            if rule.nodes[e.source].color is Color.RED
+            and rule.nodes[e.target].color is Color.RED
+        ]
+        self.red_slots = [
+            a for a in self.slots if rule.nodes[a.node].color is Color.RED
+        ]
+        self.embed = _GreenEmbedding(rule, self.plain) if self.plain else None
+
+
+class _GreenEmbedding:
+    """Pattern deciding whether instance nodes already realise the plain
+    green nodes of one binding.
+
+    Red endpoints of the green edges form the boundary, each pinned to the
+    one node its binding names; a green node hung off the boundary by an
+    edge draws its candidates from that node's adjacency, so a check
+    never scans the whole instance for them.
+    """
+
+    def __init__(self, rule: RuleGraph, plain: list[RuleNode]) -> None:
+        self.rule = rule
+        green_ids = {n.id for n in plain}
+        self.pattern = LabeledGraph()
+        for node in plain:
+            self.pattern.add_node(node.id, node.label or "*")
+        self.boundary: list[str] = []
+        #: a plain green node sharing an edge with a collector is realised
+        #: globally, with the collector
+        self.via_collector = False
+        #: green node -> (bound node, edge label, green node is the target)
+        self.anchors: dict[str, tuple[str, str, bool]] = {}
+        for edge in rule.green_edges():
+            if not {edge.source, edge.target} & green_ids:
+                continue
+            for endpoint in (edge.source, edge.target):
+                if endpoint in green_ids:
+                    continue
+                if rule.nodes[endpoint].color is Color.GREEN:
+                    self.via_collector = True
+                elif endpoint not in self.pattern:
+                    self.boundary.append(endpoint)
+                    self.pattern.add_node(endpoint, rule.nodes[endpoint].label or "*")
+            if edge.source not in green_ids and edge.source in self.pattern:
+                self.anchors.setdefault(edge.target, (edge.source, edge.label, True))
+            elif edge.target not in green_ids and edge.target in self.pattern:
+                self.anchors.setdefault(edge.source, (edge.target, edge.label, False))
+            if edge.source in self.pattern and edge.target in self.pattern:
+                self.pattern.add_edge(edge.source, edge.target, edge.label)
+        self.pinned = set(self.boundary)
+        self.slots: dict[str, list[SlotAssertion]] = {}
+        for assertion in rule.slot_assertions:
+            if assertion.node in green_ids:
+                self.slots.setdefault(assertion.node, []).append(assertion)
+
+    def exists(self, instance: InstanceGraph, binding: Binding) -> bool:
+        if self.via_collector:
+            return True
+        pinned = self.pinned
+        requirements = {
+            node: {
+                a.name: _resolve_slot_value(instance, binding, a)
+                for a in assertions
+            }
+            for node, assertions in self.slots.items()
+        }
+        rule = self.rule
+
+        def compat(pnode, dnode) -> bool:
+            if pnode in pinned:
+                return True  # its one candidate is the bound node
+            if instance.is_slot(dnode):
+                return False
+            wanted = rule.nodes[pnode].label
+            if wanted is not None and instance.label(dnode) != wanted:
+                return False
+            for name, value in requirements.get(pnode, {}).items():
+                if instance.slot_value(dnode, name) != value:
+                    return False
+            return True
+
+        candidates = {node: [binding[node]] for node in self.boundary}
+        for node, (bound, label, outgoing) in self.anchors.items():
+            if outgoing:
+                candidates[node] = instance.graph.successors(binding[bound], label)
+            else:
+                candidates[node] = instance.graph.predecessors(binding[bound], label)
+        spec = MatchSpec(injective=False, node_compat=compat, candidates=candidates)
+        for _ in find_homomorphisms(self.pattern, instance.graph, spec):
+            return True
+        return False
+
+
+def _resolve_slot_value(instance, binding: Binding, assertion):
     if assertion.value is not None:
         return assertion.value
     source = binding[assertion.from_node]
@@ -157,98 +337,37 @@ def _resolve_slot_value(rule: RuleGraph, instance, binding: Binding, assertion):
 
 
 def _green_satisfied(
-    rule: RuleGraph, instance: InstanceGraph, binding: Binding
+    plan: _GreenPlan, instance: InstanceGraph, binding: Binding
 ) -> bool:
     """Is this embedding's per-embedding green part already realised?
 
     Collectors are handled globally and skipped here.
     """
-    collector_ids = {n.id for n in rule.green_nodes() if n.collector}
-    # 1. green edges between red nodes
-    for edge in rule.green_edges():
-        if edge.source in collector_ids or edge.target in collector_ids:
-            continue
-        source_red = rule.nodes[edge.source].color is Color.RED
-        target_red = rule.nodes[edge.target].color is Color.RED
-        if source_red and target_red:
-            if not instance.has_relationship(
-                binding[edge.source], binding[edge.target], edge.label
-            ):
-                return False
-    # 2. slot assertions on red nodes
-    for assertion in rule.slot_assertions:
-        if rule.nodes[assertion.node].color is Color.RED:
-            wanted = _resolve_slot_value(rule, instance, binding, assertion)
-            if instance.slot_value(binding[assertion.node], assertion.name) != wanted:
-                return False
-    # 3. green nodes (non-collector) with their incident green edges + slots
-    green_plain = [
-        n for n in rule.green_nodes() if not n.collector
-    ]
-    if not green_plain:
-        return True
-    return _green_nodes_embed(rule, instance, binding, green_plain)
-
-
-def _green_nodes_embed(
-    rule: RuleGraph, instance: InstanceGraph, binding: Binding, green_plain
-) -> bool:
-    """Check existence of instance nodes realising the plain green nodes."""
-    pattern = LabeledGraph()
-    boundary: set[str] = set()
-    green_ids = {n.id for n in green_plain}
-    for node in green_plain:
-        pattern.add_node(node.id, node.label or "*")
-    for edge in rule.green_edges():
-        touched = {edge.source, edge.target} & green_ids
-        if not touched:
-            continue
-        for endpoint in (edge.source, edge.target):
-            if endpoint not in green_ids:
-                if rule.nodes[endpoint].color is Color.GREEN:
-                    return True  # collector endpoint: handled globally
-                boundary.add(endpoint)
-                if endpoint not in pattern:
-                    pattern.add_node(endpoint, rule.nodes[endpoint].label or "*")
-        pattern.add_edge(edge.source, edge.target, edge.label)
-
-    slot_requirements: dict[str, dict[str, object]] = {}
-    for assertion in rule.slot_assertions:
-        if assertion.node in green_ids:
-            value = _resolve_slot_value(rule, instance, binding, assertion)
-            slot_requirements.setdefault(assertion.node, {})[assertion.name] = value
-
-    def compat(pnode, dnode) -> bool:
-        if pnode in boundary:
-            return dnode == binding[pnode]
-        if instance.is_slot(dnode):
+    for edge in plan.red_edges:
+        if not instance.has_relationship(
+            binding[edge.source], binding[edge.target], edge.label
+        ):
             return False
-        wanted = rule.nodes[pnode].label
-        if wanted is not None and instance.label(dnode) != wanted:
+    for assertion in plan.red_slots:
+        wanted = _resolve_slot_value(instance, binding, assertion)
+        if instance.slot_value(binding[assertion.node], assertion.name) != wanted:
             return False
-        for name, value in slot_requirements.get(pnode, {}).items():
-            if instance.slot_value(dnode, name) != value:
-                return False
-        return True
-
-    spec = MatchSpec(injective=False, node_compat=compat)
-    for _ in find_homomorphisms(pattern, instance.graph, spec):
-        return True
-    return False
+    return plan.embed is None or plan.embed.exists(instance, binding)
 
 
 def _instantiate_green(
-    rule: RuleGraph,
+    plan: _GreenPlan,
     instance: InstanceGraph,
     binding: Binding,
-    collector_ids: set[str],
+    log: Optional[list[Edge]],
 ) -> int:
-    """Add the per-embedding green structure; returns additions count."""
+    """Add the per-embedding green structure; returns additions count.
+
+    Edges actually added are appended to ``log`` when one is kept.
+    """
     additions = 0
     created: dict[str, NodeId] = {}
-    for node in rule.green_nodes():
-        if node.collector:
-            continue
+    for node in plan.plain:
         if node.label is None:
             raise EvaluationError(
                 f"green node {node.id!r} needs a label to be created"
@@ -256,23 +375,19 @@ def _instantiate_green(
         created[node.id] = instance.add_entity(node.label)
         additions += 1
 
-    def resolve(node_id: str) -> NodeId:
-        if node_id in created:
-            return created[node_id]
-        return binding[node_id]
-
-    for edge in rule.green_edges():
-        if edge.source in collector_ids or edge.target in collector_ids:
+    values = {**binding, **created} if created else binding
+    graph = instance.graph
+    for edge in plan.edges:
+        source, target = values[edge.source], values[edge.target]
+        if graph.has_edge(source, target, edge.label):
             continue
-        before = instance.graph.edge_count()
-        instance.relate(resolve(edge.source), resolve(edge.target), edge.label)
-        if instance.graph.edge_count() > before:
-            additions += 1
-    for assertion in rule.slot_assertions:
-        if assertion.node in collector_ids:
-            continue
-        target = resolve(assertion.node)
-        value = _resolve_slot_value(rule, instance, binding, assertion)
+        added = instance.relate(source, target, edge.label)
+        additions += 1
+        if log is not None:
+            log.append(added)
+    for assertion in plan.slots:
+        target = values[assertion.node]
+        value = _resolve_slot_value(instance, binding, assertion)
         if instance.slot_value(target, assertion.name) != value:
             instance.add_slot(target, assertion.name, value)
             additions += 1

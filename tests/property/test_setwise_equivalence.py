@@ -5,17 +5,24 @@ Two layers, mirroring how the pipeline is wired in:
 * **Graph level** — hypothesis-driven: for random patterns, random data
   graphs and random :class:`MatchSpec` decorations (injective flag, path
   edges, negated edges), ``find_homomorphisms_setwise`` must produce the
-  exact mapping multiset of ``find_homomorphisms``.  Injective specs and
-  path/negated components exercise the fallback routes; plain forest
-  components exercise the semi-join route.
+  exact mapping multiset of ``find_homomorphisms``.  Path/negated
+  components exercise the fallback routes, plain forest components the
+  semi-join route, and injective specs the row filter over either.
 
 * **WG-Log rule level** — seeded random instance graphs run hand-built
   rule shapes (forest rules, ∀-negated crossed edges, path edges, a
   diamond that defeats the forest test) through ``embeddings`` with all
-  four ``ExecOptions.engine`` choices and both injectivity modes.
+  three ``ExecOptions.engine`` choices and both injectivity modes.
+
+* **Anti-join and injective routes** — rules whose crossed edges run as
+  anti-joins (a far node under two crossed edges, a crossed path edge, a
+  wildcard far node) and an injective rule over self-links, on every
+  engine, against a brute-force reading of G-Log's definition.
 """
 
 import random
+from dataclasses import replace
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,6 +34,7 @@ from repro.graph import (
     find_homomorphisms,
     find_homomorphisms_setwise,
 )
+from repro.graph.traversal import reachable_by_labels
 from repro.wglog import InstanceGraph, embeddings, parse_rule
 from repro.engine.options import ExecOptions
 
@@ -103,13 +111,30 @@ class TestSetwiseAgainstBacktracking:
     @given(patterns_with_specs(), graphs())
     @settings(max_examples=40, deadline=None)
     def test_stats_route_taken(self, pattern_and_spec, data):
-        """Injective runs are counted as fallbacks, never as fragments."""
+        """Injectivity routes like a homomorphism run, then filters rows.
+
+        An injective run takes the same per-component routes (pipeline
+        fragments and fallbacks) as its homomorphic twin, never a
+        wholesale fallback, and ``injective_dropped`` counts exactly the
+        homomorphisms it discarded.
+        """
         pattern, spec = pattern_and_spec
         stats = EvalStats()
-        list(find_homomorphisms_setwise(pattern, data, spec, stats=stats))
+        found = list(find_homomorphisms_setwise(pattern, data, spec, stats=stats))
+        plain_stats = EvalStats()
+        plain = list(
+            find_homomorphisms_setwise(
+                pattern, data, replace(spec, injective=False), stats=plain_stats
+            )
+        )
+        assert "fallback_injective" not in stats.extra
+        assert stats.pipeline_fragments == plain_stats.pipeline_fragments
+        assert stats.pipeline_fallbacks == plain_stats.pipeline_fallbacks
+        dropped = stats.extra.get("injective_dropped", 0)
         if spec.injective:
-            assert stats.pipeline_fragments == 0
-            assert stats.pipeline_fallbacks >= 1
+            assert dropped == len(plain) - len(found)
+        else:
+            assert dropped == 0
 
     def test_forest_pattern_uses_semijoin_route(self):
         data = LabeledGraph()
@@ -213,6 +238,104 @@ def test_wglog_engines_agree(rule_text, seed):
         ]
         for options, other in zip(ENGINES[1:], results[1:]):
             assert other == results[0], (
+                f"seed {seed}, injective={injective}: {options.engine} "
+                f"diverged on {rule_text!r}"
+            )
+
+
+# -- anti-join and injective routes against the definition -------------------------
+
+#: Rules whose ∀-negation runs as one anti-join per crossed fragment, or
+#: whose injectivity is a row filter over homomorphism rows.
+ANTI_JOIN_RULES = [
+    # one far node under two crossed edges: each is its own ∀-negation
+    "rule r { match { d: Doc  no i -index-> d  no i -link-> d }"
+    " construct { d.seen = 'y' } }",
+    # a crossed path edge: no Page reaches p through links
+    "rule r { match { p: Doc  q: Page  no q -link*-> p }"
+    " construct { p.seen = 'y' } }",
+    # injective matching over self-links: a may not be its own target
+    "rule r { match { a: Doc  b: *  a -link-> b } }",
+    # a wildcard far node: no entity of any type links to d
+    "rule r { match { d: Page  i: *  no i -link-> d }"
+    " construct { d.seen = 'y' } }",
+]
+
+
+def instance_with_self_links(rng: random.Random) -> InstanceGraph:
+    instance = random_instance(rng)
+    for node in instance.entities():
+        if rng.random() < 0.4:
+            instance.relate(node, node, "link")
+    return instance
+
+
+def _holds(instance: InstanceGraph, edge, source, target) -> bool:
+    if edge.path:
+        return target in reachable_by_labels(
+            instance.graph, source, edge_label=edge.label or None
+        )
+    return instance.has_relationship(source, target, edge.label)
+
+
+def definition_embeddings(rule, instance: InstanceGraph, injective: bool):
+    """Embeddings by G-Log's definition, by brute force over entities.
+
+    Nodes that appear only behind crossed edges are ∀-quantified inside
+    their edge's negation; every other red node is bound.
+    """
+    positive = [e for e in rule.red_edges() if not e.crossed]
+    bound = sorted(
+        {n for e in positive for n in (e.source, e.target)}
+        | {a.node for a in rule.slot_assertions}
+    )
+
+    def candidates(node_id):
+        label = rule.nodes[node_id].label
+        return [
+            n for n in instance.entities() if label is None or instance.label(n) == label
+        ]
+
+    found = []
+    for values in product(*(candidates(n) for n in bound)):
+        row = dict(zip(bound, values))
+        if injective and len(set(values)) < len(values):
+            continue
+        if not all(_holds(instance, e, row[e.source], row[e.target]) for e in positive):
+            continue
+        blocked = False
+        for edge in (e for e in rule.red_edges() if e.crossed):
+            far = edge.source if edge.source not in row else edge.target
+            if far in row:  # both ends bound: pairwise negation
+                blocked = _holds(instance, edge, row[edge.source], row[edge.target])
+            else:
+                near = edge.target if far == edge.source else edge.source
+                for value in candidates(far):
+                    if injective and value == row[near]:
+                        continue
+                    ends = {far: value, near: row[near]}
+                    if _holds(instance, edge, ends[edge.source], ends[edge.target]):
+                        blocked = True
+                        break
+            if blocked:
+                break
+        if not blocked:
+            found.append(row)
+    return found
+
+
+@pytest.mark.parametrize("seed", range(25))
+@pytest.mark.parametrize("rule_text", ANTI_JOIN_RULES)
+def test_anti_join_and_injective_routes_match_definition(rule_text, seed):
+    instance = instance_with_self_links(random.Random(seed))
+    rule = parse_rule(rule_text)
+    for injective in (False, True):
+        expected = binding_multiset(definition_embeddings(rule, instance, injective))
+        for options in ENGINES:
+            actual = binding_multiset(
+                embeddings(rule, instance, injective=injective, options=options)
+            )
+            assert actual == expected, (
                 f"seed {seed}, injective={injective}: {options.engine} "
                 f"diverged on {rule_text!r}"
             )

@@ -16,6 +16,8 @@ from repro.wglog import (
     apply_rule,
     check_against_schema,
     embeddings,
+    parse_rule,
+    parse_wglog,
     query,
     satisfies,
 )
@@ -187,6 +189,28 @@ class TestEmbeddings:
         stats = EvalStats()
         embeddings(rule, library(), stats=stats)
         assert stats.bindings_produced == 4
+
+    def test_delta_restricts_each_edge_in_turn(self):
+        # reach chain n0 -> n1 -> n2 -> n3 -> n4 with only (n1, n2) new:
+        # the embeddings using it, at either pattern edge, and no other
+        inst = InstanceGraph()
+        for number in range(5):
+            inst.add_entity("N", f"n{number}")
+        edges = [inst.relate(f"n{i}", f"n{i + 1}", "reach") for i in range(4)]
+        rule = parse_rule(
+            "rule r { match { a: N  b: N  c: N  a -reach-> b  b -reach-> c } }"
+        )
+        found = {
+            (b["a"], b["b"], b["c"])
+            for b in embeddings(rule, inst, delta=[edges[1]])
+        }
+        assert found == {("n0", "n1", "n2"), ("n1", "n2", "n3")}
+        assert len(embeddings(rule, inst, delta=[])) == 0
+        # a crossed edge makes the restriction unsound: matched in full
+        negated = parse_rule(
+            "rule r { match { a: N  b: N  a -reach-> b  no b -link-> a } }"
+        )
+        assert len(embeddings(negated, inst, delta=[])) == 4
 
 
 class TestNegation:
@@ -376,6 +400,69 @@ class TestGenerativeSemantics:
         with pytest.raises(EvaluationError, match="label"):
             apply_rule(inst, rule)
 
+    def test_slot_assertion_replaces_existing_value(self):
+        # a slot is single-valued: asserting a new value overwrites the old
+        # one, so the rule is satisfied afterwards and programs converge
+        def page_marked_no() -> InstanceGraph:
+            inst = InstanceGraph()
+            inst.add_entity("Page", "p")
+            inst.add_slot("p", "root", "no")
+            return inst
+
+        rule = RuleGraph()
+        rule.red("p", "Page")
+        rule.assert_slot("p", "root", value="yes")
+        inst = page_marked_no()
+        assert not satisfies(inst, rule)
+        assert apply_rule(inst, rule) == 1
+        assert inst.slot_value("p", "root") == "yes"
+        assert inst.slots("p") == {"root": "yes"}
+        assert len(inst.graph.out_edges("p", "root")) == 1
+        assert satisfies(inst, rule)
+        assert apply_rule(inst, rule) == 0
+        assert apply_program(page_marked_no(), [rule]) == 1
+
+    def test_green_node_check_is_pinned_to_the_binding(self):
+        # the per-binding existence check for green nodes draws candidates
+        # from the bound node and its adjacency, never from a scan of the
+        # whole instance: compat calls do not grow with unrelated nodes
+        from repro.wglog import semantics
+
+        def compat_calls(unrelated: int) -> int:
+            inst = library()
+            for number in range(unrelated):
+                inst.add_entity("Note", f"spare{number}")
+            rule = RuleGraph()
+            rule.red("d", "Doc")
+            rule.red("i", "Doc")
+            rule.match_edge("i", "d", "index")
+            rule.green("n", "Note")
+            rule.derive_edge("n", "d", "about")
+            apply_rule(inst, rule)
+            calls = []
+            original = semantics.find_homomorphisms
+
+            def counting(pattern, data, spec=None, stats=None):
+                compat = spec.node_compat
+
+                def counted(pnode, dnode):
+                    calls.append((pnode, dnode))
+                    return compat(pnode, dnode)
+
+                spec.node_compat = counted
+                return original(pattern, data, spec, stats)
+
+            semantics.find_homomorphisms = counting
+            try:
+                assert apply_rule(inst, rule) == 0
+            finally:
+                semantics.find_homomorphisms = original
+            return len(calls)
+
+        # two bindings, each: its pinned d and the one Note linked to it
+        assert compat_calls(0) == 4
+        assert compat_calls(200) == 4
+
     def test_collector_single_node(self):
         inst = library()
         rule = RuleGraph()
@@ -462,6 +549,64 @@ class TestPrograms:
         apply_program(inst, [leaf])
         assert inst.slot_value("c", "leaf") == "yes"
         assert inst.slot_value("a", "leaf") is None
+
+    def test_semi_naive_eligibility(self):
+        from repro.wglog.semantics import semi_naive_eligible
+
+        def rule(text: str) -> RuleGraph:
+            return parse_rule(f"rule r {{ {text} }}")
+
+        assert semi_naive_eligible(
+            rule("match { a: N  b: N  a -link-> b } construct { a -reach-> b }")
+        )
+        ineligible = [
+            # green node
+            "match { a: N  b: N  a -link-> b } construct { g: G  g -of-> a }",
+            # collector
+            "match { a: N  b: N  a -link-> b } construct { g: G collect  g -of-> a }",
+            # slot assertion
+            "match { a: N  b: N  a -link-> b } construct { a.x = 1 }",
+            # crossed edge
+            "match { a: N  b: N  a -link-> b  no b -link-> a }"
+            " construct { a -reach-> b }",
+            # path edge
+            "match { a: N  b: N  a -link*-> b } construct { a -reach-> b }",
+            # condition
+            "match { a: N  b: N  a -link-> b } construct { a -reach-> b }"
+            " where a.x = 1",
+            # isolated red node
+            "match { a: N  b: N  c: N  a -link-> b } construct { a -reach-> c }",
+        ]
+        for text in ineligible:
+            assert not semi_naive_eligible(rule(text)), text
+
+    def test_semi_naive_rounds_match_only_the_delta(self):
+        # closure of a 6-chain: later rounds see only new reach edges, so
+        # the program matches far fewer embeddings than naive rounds would
+        def chain() -> InstanceGraph:
+            inst = InstanceGraph()
+            for number in range(6):
+                inst.add_entity("N", f"n{number}")
+            for number in range(5):
+                inst.relate(f"n{number}", f"n{number + 1}", "link")
+            return inst
+
+        base, step = parse_wglog(
+            "rule base { match { a: N  b: N  a -link-> b }"
+            " construct { a -reach-> b } }"
+            "rule step { match { a: N  b: N  c: N  a -reach-> b  b -link-> c }"
+            " construct { a -reach-> c } }"
+        )[1]
+        semi, naive = EvalStats(), EvalStats()
+        inst = chain()
+        assert apply_program(inst, [base, step], stats=semi) == 15
+        oracle = chain()
+        while apply_rule(oracle, base, stats=naive) + apply_rule(
+            oracle, step, stats=naive
+        ):
+            pass
+        assert set(inst.graph.edges()) == set(oracle.graph.edges())
+        assert semi.bindings_produced < naive.bindings_produced
 
     def test_query_shortcut(self):
         rule = RuleGraph()
