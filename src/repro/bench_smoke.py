@@ -27,25 +27,6 @@ regression beyond 20% (fails-soft).  ``--append-history`` carries the
 baseline's ``history`` forward and appends one timestamped summary record
 per run.
 
-The report also carries a ``tracing`` block: the observability guard runs
-the join-heavy query with span recording on and off, *asserts* the work
-counters are identical (tracing must observe the engine, never steer it),
-and records ``overhead_ratio`` (traced / untraced wall time) plus the
-disabled-path timing so the cost of the dormant instrumentation stays on
-the perf trajectory.
-
-The ``governance`` block is the same guard for the resource-governance
-layer: the join-heavy query runs with no budget and with a generous
-budget that cannot trip, the work counters are *asserted* identical
-(budget checks are pay-for-use and must never steer the engine), and the
-budgeted/unbudgeted timing ratio joins the trajectory.
-
-The ``plan_cache`` block runs the join-heavy query through a
-:class:`~repro.session.QuerySession` with a private plan cache, *asserts*
-the counters (cold run = one compile miss, each warm run = one hit), and
-records the cold/warm timings so the repeat-query latency win stays on
-the trajectory.
-
 The ``rewrite`` block evaluates a deliberately redundant query (three
 overlapping deep arcs + a tautological condition) with the static
 rewriter off and on, *asserts* at least one fragment was removed, the
@@ -104,9 +85,6 @@ ENGINES: list[tuple[str, ExecOptions]] = [
 
 #: Work regression tolerated before --baseline warns (fails-soft).
 REGRESSION_TOLERANCE = 0.20
-
-#: Query the tracing-overhead guard measures (join-heavy: deepest span tree).
-TRACING_GUARD_QUERY = "fig_q3/join"
 
 # (name, dsl text, dataset, descendant_heavy, join_heavy)
 QUERIES: list[tuple[str, str, str, bool, bool]] = [
@@ -190,151 +168,6 @@ def _time_and_count(
     counters = stats.as_dict()
     counters.pop("seconds", None)
     return best, counters, len(bindings)
-
-
-def measure_tracing_overhead(
-    graph: QueryGraph,
-    document: Document,
-    index: DocumentIndex,
-    repeat: int,
-) -> dict:
-    """The observability guard: tracing observes, it must never steer.
-
-    Runs the query on the pipeline engine with span recording off and on,
-    best-of-``repeat`` each.  Asserts bindings and every work counter are
-    identical between the two — a divergence means the instrumentation
-    changed what the engine did, which is a bug, so this fails hard.  The
-    returned block records both timings and their ratio.
-    """
-    traced = ExecOptions(engine="pipeline", trace=True)
-
-    def best_of(options: ExecOptions) -> tuple[float, dict, int]:
-        stats = EvalStats()
-        bindings = match(
-            graph, document, options=options, index=index, stats=stats
-        )
-        best = stats.seconds
-        for _ in range(repeat - 1):
-            fresh = EvalStats()
-            started = time.perf_counter()
-            match(graph, document, options=options, index=index, stats=fresh)
-            best = min(best, time.perf_counter() - started)
-        counters = stats.as_dict()
-        counters.pop("seconds", None)
-        return best, counters, len(bindings)
-
-    off_seconds, off_counters, off_bindings = best_of(PIPELINE)
-    on_seconds, on_counters, on_bindings = best_of(traced)
-    assert off_bindings == on_bindings, "tracing changed the result size"
-    assert off_counters == on_counters, "tracing changed the work counters"
-    return {
-        "query": TRACING_GUARD_QUERY,
-        "counters_identical": True,
-        "bindings": off_bindings,
-        "disabled_seconds": off_seconds,
-        "traced_seconds": on_seconds,
-        "overhead_ratio": round(on_seconds / max(off_seconds, 1e-9), 3),
-    }
-
-
-def measure_governance_overhead(
-    graph: QueryGraph,
-    document: Document,
-    index: DocumentIndex,
-    repeat: int,
-) -> dict:
-    """The governance guard: an unarmed budget must cost nothing.
-
-    Mirrors :func:`measure_tracing_overhead` for the resource-governance
-    layer (PR-5): runs the guard query with no budget and with a generous
-    budget that can never trip, best-of-``repeat`` each, and *asserts*
-    bindings and every work counter are identical — the budget checks are
-    pay-for-use (``stats.budget is None`` guards every site), so an
-    unbudgeted run must do byte-identical work, and a budgeted-but-ample
-    run must only add the bookkeeping, never steer the engine.  Records
-    both timings and their ratio.
-    """
-    from .engine.limits import QueryBudget
-
-    generous = ExecOptions(
-        engine="pipeline",
-        budget=QueryBudget(
-            deadline_ms=3_600_000.0,
-            max_work=10**12,
-            max_bindings=10**9,
-            max_hashjoin_rows=10**12,
-        ),
-    )
-
-    def best_of(options: ExecOptions) -> tuple[float, dict, int]:
-        stats = EvalStats()
-        bindings = match(
-            graph, document, options=options, index=index, stats=stats
-        )
-        best = stats.seconds
-        for _ in range(repeat - 1):
-            fresh = EvalStats()
-            started = time.perf_counter()
-            match(graph, document, options=options, index=index, stats=fresh)
-            best = min(best, time.perf_counter() - started)
-        counters = stats.as_dict()
-        counters.pop("seconds", None)
-        return best, counters, len(bindings)
-
-    off_seconds, off_counters, off_bindings = best_of(PIPELINE)
-    on_seconds, on_counters, on_bindings = best_of(generous)
-    assert off_bindings == on_bindings, "budgeting changed the result size"
-    assert off_counters == on_counters, "budgeting changed the work counters"
-    return {
-        "query": TRACING_GUARD_QUERY,
-        "counters_identical": True,
-        "bindings": off_bindings,
-        "unbudgeted_seconds": off_seconds,
-        "budgeted_seconds": on_seconds,
-        "overhead_ratio": round(on_seconds / max(off_seconds, 1e-9), 3),
-    }
-
-
-def measure_plan_cache(repeat: int, bib_entries: int = 400) -> dict:
-    """The plan-cache guard: a repeat query must skip parse/analyse/plan.
-
-    Runs the join-heavy guard query through :class:`~repro.session.QuerySession`
-    with a private plan cache.  The cold run *asserts* exactly one
-    plan-cache miss (compile); every warm run asserts exactly one hit and
-    zero misses — the gate is on the counters, which are deterministic,
-    while the cold/warm timings and their ratio are recorded for the
-    trajectory (informative, wall-time noise must not flake CI).
-    """
-    from .engine.cache import DocumentIndexCache
-    from .engine.plan_cache import PlanCache
-    from .session import QuerySession
-
-    query = next(q[1] for q in QUERIES if q[0] == TRACING_GUARD_QUERY)
-    session = QuerySession(
-        bibliography(bib_entries, seed=0),
-        indexes=DocumentIndexCache(),
-        plans=PlanCache(),
-    )
-    session.run(query)
-    cold = session.current()
-    assert cold.stats.plan_cache_misses == 1, "cold run must compile"
-    assert cold.stats.plan_cache_hits == 0
-    cold_seconds = cold.seconds
-    warm_seconds = None
-    for _ in range(max(repeat, 1)):
-        session.run(query)
-        warm = session.current()
-        assert warm.stats.plan_cache_hits == 1, "warm run must hit the cache"
-        assert warm.stats.plan_cache_misses == 0
-        assert warm.result.size() == cold.result.size()
-        seconds = warm.seconds
-        warm_seconds = seconds if warm_seconds is None else min(warm_seconds, seconds)
-    return {
-        "query": TRACING_GUARD_QUERY,
-        "cold_seconds": cold_seconds,
-        "warm_seconds": warm_seconds,
-        "speedup": round(cold_seconds / max(warm_seconds, 1e-9), 3),
-    }
 
 
 #: The deliberately redundant drawing the rewrite guard measures (the same
@@ -588,7 +421,7 @@ def run_suite(
     indexes = {name: DocumentIndex(doc) for name, doc in datasets.items()}
     report: dict = {
         "generated_by": "repro.bench_smoke",
-        "schema_version": 4,
+        "schema_version": 5,
         "sizes": {
             "bib_entries": bib_entries,
             "sections_depth": sections_depth,
@@ -633,21 +466,6 @@ def run_suite(
             2,
         )
         report["queries"][name] = entry
-    guard_text = next(q[1] for q in QUERIES if q[0] == TRACING_GUARD_QUERY)
-    guard_dataset = next(q[2] for q in QUERIES if q[0] == TRACING_GUARD_QUERY)
-    report["tracing"] = measure_tracing_overhead(
-        _first_graph(guard_text),
-        datasets[guard_dataset],
-        indexes[guard_dataset],
-        repeat,
-    )
-    report["governance"] = measure_governance_overhead(
-        _first_graph(guard_text),
-        datasets[guard_dataset],
-        indexes[guard_dataset],
-        repeat,
-    )
-    report["plan_cache"] = measure_plan_cache(repeat, bib_entries)
     report["rewrite"] = measure_rewrite(datasets["sections"], repeat)
     # Tiny test-suite sizes get a proportionally shorter edit script;
     # the CI size (400 entries) runs the full 1000 edits.
@@ -801,27 +619,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if joins:
         worst_join = min(entry["pipeline_speedup"] for _, entry in joins)
         print(f"join-heavy (j) worst pipeline speedup: {worst_join}x")
-    tracing = report["tracing"]
-    print(
-        f"tracing overhead ({tracing['query']}): "
-        f"{tracing['disabled_seconds'] * 1000:.2f}ms untraced -> "
-        f"{tracing['traced_seconds'] * 1000:.2f}ms traced "
-        f"({tracing['overhead_ratio']}x), counters identical"
-    )
-    governance = report["governance"]
-    print(
-        f"governance overhead ({governance['query']}): "
-        f"{governance['unbudgeted_seconds'] * 1000:.2f}ms unbudgeted -> "
-        f"{governance['budgeted_seconds'] * 1000:.2f}ms budgeted "
-        f"({governance['overhead_ratio']}x), counters identical"
-    )
-    plan_cache = report["plan_cache"]
-    print(
-        f"plan cache ({plan_cache['query']}): "
-        f"{plan_cache['cold_seconds'] * 1000:.2f}ms cold -> "
-        f"{plan_cache['warm_seconds'] * 1000:.2f}ms warm "
-        f"({plan_cache['speedup']}x), counters asserted"
-    )
     rewrite = report["rewrite"]
     print(
         f"rewrite ({rewrite['query']}): {rewrite['rewrites']}, "

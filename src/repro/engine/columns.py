@@ -1,12 +1,13 @@
-"""Columnar kernels over sorted ``pre``-id arrays.
+"""Columnar kernels over sorted label columns.
 
-The set-at-a-time pipeline originally materialised candidate pools as
-lists of node objects and edge relations as lists of ``(Element,
-Element)`` tuples; every semi-join then re-hashed object identities.  The
-interval index already assigns every element a dense integer ``pre``
-number, so pools and relations can instead be **columns**: flat sorted
-``array('i')`` vectors of pre ids, with the index's ``pre -> element``
-side table deferring object materialisation to hash-join assembly.
+The set-at-a-time pipeline works on **columns**: candidate pools are flat
+sorted ``array('i')`` vectors of the interval index's gap labels, and edge
+relations are pairs of such columns.  Labels are sparse — neighbours sit
+up to :data:`~repro.engine.index.LABEL_GAP` apart, with holes where edits
+happened — so the kernels never use a candidate as a position: structure
+comes from the index's label-keyed ``post`` and ``parent`` maps, and the
+index's ``label -> element`` map defers object materialisation to
+hash-join assembly.
 
 This module holds the int-only kernels that representation enables:
 
@@ -14,19 +15,21 @@ This module holds the int-only kernels that representation enables:
   (galloping binary search when one side is much smaller);
 * :func:`containment_pairs` / :func:`containment_count` — an
   ancestor/descendant arc between two pools, answered per parent by two
-  binary searches over the child pre column against the parent's
+  binary searches over the child column against the parent's
   ``(pre, post]`` interval;
 * :func:`direct_pairs` — a parent/child arc, answered per child by one
-  lookup in the ``parent_pre`` column and a membership probe into the
-  parent pool.
+  lookup in the ``parent`` map and a membership probe into the parent
+  pool.
 
 Every kernel has a pure-Python ``array('i')`` implementation and an
 optional numpy fast path behind a feature probe: numpy is **not** a
 dependency — when it is importable (and ``REPRO_COLUMNS`` is not
 ``python``) large inputs take the vectorised route, otherwise everything
-runs on :mod:`array` + :mod:`bisect`.  Both paths produce identical
-output; ``REPRO_COLUMNS=python`` / ``REPRO_COLUMNS=numpy`` pin the
-backend for differential testing.
+runs on :mod:`array` + :mod:`bisect`.  The numpy path gathers the pool's
+posts or parents with one :func:`numpy.fromiter` pass over the pool and
+vectorises the rest.  Both paths produce identical output;
+``REPRO_COLUMNS=python`` / ``REPRO_COLUMNS=numpy`` pin the backend for
+differential testing.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from __future__ import annotations
 import os
 from array import array
 from bisect import bisect_left, bisect_right
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 __all__ = [
     "HAVE_NUMPY",
@@ -83,6 +86,18 @@ def _as_np(col: Sequence[int]):
     return _np.asarray(col, dtype=_np.int32)
 
 
+#: ``label -> label`` structure: the index's ``post`` / ``parent`` map, or
+#: any int sequence indexable by label.
+LabelMap = Mapping[int, int] | Sequence[int]
+
+
+def _gather(labels: Sequence[int], by_label: LabelMap):
+    """``by_label[l]`` for every ``l`` in ``labels``, as one numpy column."""
+    return _np.fromiter(
+        map(by_label.__getitem__, labels), dtype=_np.int32, count=len(labels)
+    )
+
+
 def _from_np(values) -> array:
     out = array("i")
     out.frombytes(values.astype(_np.int32, copy=False).tobytes())
@@ -129,53 +144,50 @@ def intersect_sorted(a: Sequence[int], b: Sequence[int]) -> array:
 
 
 def containment_count(
-    parent_pres: Sequence[int],
-    posts: Sequence[int],
-    child_pres: Sequence[int],
+    parents: Sequence[int],
+    post_of: LabelMap,
+    children: Sequence[int],
 ) -> int:
     """Number of pairs :func:`containment_pairs` would materialise."""
-    if not parent_pres or not child_pres:
+    if not parents or not children:
         return 0
-    if _use_numpy(len(parent_pres) + len(child_pres)):
-        np_child = _as_np(child_pres)
-        np_parent = _as_np(parent_pres)
-        np_posts = _as_np(posts)
-        los = _np.searchsorted(np_child, np_parent, side="right")
-        his = _np.searchsorted(np_child, np_posts[np_parent], side="right")
+    if _use_numpy(len(parents) + len(children)):
+        np_child = _as_np(children)
+        los = _np.searchsorted(np_child, _as_np(parents), side="right")
+        his = _np.searchsorted(np_child, _gather(parents, post_of), side="right")
         return int((his - los).sum())
     total = 0
-    hi_bound = len(child_pres)
-    for pre in parent_pres:
-        lo = bisect_right(child_pres, pre)
+    hi_bound = len(children)
+    for label in parents:
+        lo = bisect_right(children, label)
         if lo >= hi_bound:
             continue
-        total += bisect_right(child_pres, posts[pre], lo) - lo
+        total += bisect_right(children, post_of[label], lo) - lo
     return total
 
 
 def containment_pairs(
-    parent_pres: Sequence[int],
-    posts: Sequence[int],
-    child_pres: Sequence[int],
+    parents: Sequence[int],
+    post_of: LabelMap,
+    children: Sequence[int],
 ) -> tuple[array, array]:
-    """All ``(ancestor pre, descendant pre)`` pairs between two pools.
+    """All ``(ancestor, descendant)`` label pairs between two pools.
 
-    ``parent_pres`` and ``child_pres`` must be sorted ascending; ``posts``
-    is the full ``pre -> post`` column of the index.  A child ``c`` is a
-    proper descendant of parent ``p`` iff ``p < c <= post[p]``, so each
-    parent contributes one contiguous bisect range of the child column.
-    Output is sorted lexicographically by ``(parent, child)``.
+    ``parents`` and ``children`` must be sorted ascending; ``post_of``
+    maps every parent label to its subtree's last label.  A child ``c`` is
+    a proper descendant of parent ``p`` iff ``p < c <= post_of[p]``, so
+    each parent contributes one contiguous bisect range of the child
+    column.  Output is sorted lexicographically by ``(parent, child)``.
     """
     left = array("i")
     right = array("i")
-    if not parent_pres or not child_pres:
+    if not parents or not children:
         return left, right
-    if _use_numpy(len(parent_pres) + len(child_pres)):
-        np_child = _as_np(child_pres)
-        np_parent = _as_np(parent_pres)
-        np_posts = _as_np(posts)
+    if _use_numpy(len(parents) + len(children)):
+        np_child = _as_np(children)
+        np_parent = _as_np(parents)
         los = _np.searchsorted(np_child, np_parent, side="right")
-        his = _np.searchsorted(np_child, np_posts[np_parent], side="right")
+        his = _np.searchsorted(np_child, _gather(parents, post_of), side="right")
         counts = his - los
         total = int(counts.sum())
         if total == 0:
@@ -190,48 +202,48 @@ def containment_pairs(
             _from_np(np_parent[reps]),
             _from_np(np_child[los[reps] + offsets]),
         )
-    hi_bound = len(child_pres)
-    for pre in parent_pres:
-        lo = bisect_right(child_pres, pre)
+    hi_bound = len(children)
+    for label in parents:
+        lo = bisect_right(children, label)
         if lo >= hi_bound:
             continue
-        hi = bisect_right(child_pres, posts[pre], lo)
+        hi = bisect_right(children, post_of[label], lo)
         if hi > lo:
-            left.extend(array("i", [pre]) * (hi - lo))
-            right.extend(child_pres[lo:hi])
+            left.extend(array("i", [label]) * (hi - lo))
+            right.extend(children[lo:hi])
     return left, right
 
 
 def direct_pairs(
-    parent_pres: Sequence[int],
-    parent_pre_column: Sequence[int],
-    child_pres: Sequence[int],
+    parents: Sequence[int],
+    parent_of: LabelMap,
+    children: Sequence[int],
 ) -> tuple[array, array]:
-    """All ``(parent pre, child pre)`` pairs joined by the parent pointer.
+    """All ``(parent, child)`` label pairs joined by the parent pointer.
 
-    ``parent_pre_column`` is the full ``pre -> parent's pre`` column
-    (``-1`` at the root).  Each child costs one column read plus one
-    membership probe into the sorted parent pool.  Output is sorted by
-    child; within one parent, children ascend.
+    ``parent_of`` maps every child label to its parent's label (``-1`` at
+    the root).  Each child costs one map read plus one membership probe
+    into the sorted parent pool.  Output is sorted by child; within one
+    parent, children ascend.
     """
     left = array("i")
     right = array("i")
-    if not parent_pres or not child_pres:
+    if not parents or not children:
         return left, right
-    if _use_numpy(len(child_pres)):
-        np_child = _as_np(child_pres)
-        np_parents_of = _as_np(parent_pre_column)[np_child]
-        np_pool = _as_np(parent_pres)
+    if _use_numpy(len(children)):
+        np_child = _as_np(children)
+        np_parents_of = _gather(children, parent_of)
+        np_pool = _as_np(parents)
         idx = _np.searchsorted(np_pool, np_parents_of)
         idx_c = _np.minimum(idx, len(np_pool) - 1)
         mask = (np_parents_of >= 0) & (np_pool[idx_c] == np_parents_of)
         return _from_np(np_parents_of[mask]), _from_np(np_child[mask])
-    members = set(parent_pres)
-    for pre in child_pres:
-        parent = parent_pre_column[pre]
+    members = set(parents)
+    for label in children:
+        parent = parent_of[label]
         if parent >= 0 and parent in members:
             left.append(parent)
-            right.append(pre)
+            right.append(label)
     return left, right
 
 

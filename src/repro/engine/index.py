@@ -25,18 +25,23 @@ Indexes are **maintained, not rebuilt**, under the typed mutation API
 ``note_set_attribute`` update the label maps and per-tag/attribute pools
 in ``O(k log n + depth)`` for a ``k``-node edit, falling back to a full
 relabel only when an edit point's gap is exhausted (amortized away by the
-gap spacing).  Nothing a compiled plan depends on lives here, so no edit
-invalidates a plan.  Mutation is not thread-safe against concurrent
+gap spacing) or when appends at the document's end would push labels past
+:data:`LABEL_MAX`.  Nothing a compiled plan depends on lives here, so no
+edit invalidates a plan.  Mutation is not thread-safe against concurrent
 readers — callers serialize (the server wraps the mutable head in a
 read/write lock).
 
-The columnar kernels (:mod:`repro.engine.columns`) need *dense* pre ids —
-they use them as positions into flat ``array('i')`` columns — so the
-dense view (``element_table`` / ``post_column`` / ``parent_pre_column`` /
-``all_pres`` / ``tag_pres`` / ``pres_of``) is derived lazily from the gap
-labels and cached until the next structural edit.  Gap labels and dense
-ranks are two coordinate systems: ``position()`` / ``interval()`` speak
-labels, the column accessors speak ranks, and no caller may mix them.
+The gap labels are the index's only coordinate system.  The columnar
+kernels (:mod:`repro.engine.columns`) need nothing but sorted int
+candidates and label-keyed structure maps, so pools and relations are
+label columns: :meth:`~DocumentIndex.label_column` hands out the index's
+own sorted ``array('i')`` of a tag's labels with no copy,
+:meth:`~DocumentIndex.labels_of` labels any other pool, and
+:meth:`~DocumentIndex.post_map` / :meth:`~DocumentIndex.parent_map` /
+:meth:`~DocumentIndex.element_map` serve the kernels and late
+materialisation.  All of them are shared and read-only, and a structural
+commit splices them in place, so a read never pays for a commit beyond
+the splice itself.
 """
 
 from __future__ import annotations
@@ -47,57 +52,16 @@ from typing import Iterable, Iterator, Optional
 
 from ..ssd.model import Document, Element
 
-__all__ = ["DocumentIndex", "LABEL_GAP"]
+__all__ = ["DocumentIndex", "LABEL_GAP", "LABEL_MAX"]
 
 #: Label spacing at (re)build time: consecutive document-order elements
 #: sit ``LABEL_GAP`` apart, leaving ``LABEL_GAP - 1`` free integers per
 #: edit point before a local insert must fall back to a full relabel.
 LABEL_GAP = 64
 
-
-class _DenseView:
-    """Dense-rank snapshot of the gap labels for the columnar kernels.
-
-    Ranks are positions in the label-sorted order, i.e. classic dense pre
-    numbers; the columns are indexable by rank exactly like the flat
-    arrays the kernels were written against.
-    """
-
-    __slots__ = (
-        "elements",
-        "rank_of_label",
-        "rank_by_id",
-        "post_column",
-        "parent_pre_column",
-        "all_pres",
-        "tag_pres",
-    )
-
-    def __init__(
-        self,
-        order: list[int],
-        element_of: dict[int, Element],
-        post_of: dict[int, int],
-        parent_of: dict[int, int],
-    ) -> None:
-        rank = {label: position for position, label in enumerate(order)}
-        self.rank_of_label = rank
-        self.elements = [element_of[label] for label in order]
-        self.rank_by_id = {
-            id(element): position
-            for position, element in enumerate(self.elements)
-        }
-        self.post_column = array("i", (rank[post_of[label]] for label in order))
-        self.parent_pre_column = array(
-            "i",
-            (
-                rank[parent_of[label]] if parent_of[label] >= 0 else -1
-                for label in order
-            ),
-        )
-        self.all_pres = array("i", range(len(order)))
-        #: Per-tag rank columns, filled on demand.
-        self.tag_pres: dict[str, list[int]] = {}
+#: Largest label an ``array('i')`` column holds.  An end append whose
+#: labels would pass it compacts the document's labels first.
+LABEL_MAX = 2**31 - 1
 
 
 class DocumentIndex:
@@ -106,14 +70,14 @@ class DocumentIndex:
     def __init__(self, document: Document) -> None:
         self._document = document
         self._doc_revision = 0
-        self._dense: Optional[_DenseView] = None
         self._counters = {
             "labels_assigned": 0,
             "labels_removed": 0,
             "relabels": 0,
             "relabel_labels": 0,
-            # The index keeps no statistics; the key stays (always 0) for
-            # readers of the pre-3.0 counter set.
+            # The index keeps no statistics and no second coordinate
+            # system; these keys stay (always 0) for readers of the older
+            # counter set.
             "stats_nodes": 0,
             "dense_rebuilds": 0,
             "structural_ops": 0,
@@ -125,7 +89,8 @@ class DocumentIndex:
     def _assign_labels(self) -> None:
         """(Re)derive every label structure from the current tree.
 
-        Labels come out ``dense_pre * LABEL_GAP``.
+        The element at document-order position ``pre`` gets label
+        ``pre * LABEL_GAP``.
         """
         elements: list[Element] = []
         parent_pre: list[int] = []
@@ -156,8 +121,8 @@ class DocumentIndex:
         post_of: dict[int, int] = {}
         parent_of: dict[int, int] = {}
         depth_of: dict[int, int] = {}
-        order: list[int] = []
-        tag_labels: dict[str, list[int]] = {}
+        order = array("i", range(0, count * LABEL_GAP, LABEL_GAP))
+        tag_labels: dict[str, array] = {}
         tag_elements: dict[str, list[Element]] = {}
         attr_labels: dict[str, list[int]] = {}
         attr_elements: dict[str, list[Element]] = {}
@@ -169,8 +134,7 @@ class DocumentIndex:
             ppre = parent_pre[pre]
             parent_of[label] = ppre * LABEL_GAP if ppre >= 0 else -1
             depth_of[label] = depths[pre]
-            order.append(label)
-            tag_labels.setdefault(element.tag, []).append(label)
+            tag_labels.setdefault(element.tag, array("i")).append(label)
             tag_elements.setdefault(element.tag, []).append(element)
             for name in element.attributes:
                 attr_labels.setdefault(name, []).append(label)
@@ -189,22 +153,12 @@ class DocumentIndex:
         self._tag_tuples: dict[str, tuple[Element, ...]] = {}
         self._attr_tuples: dict[str, tuple[Element, ...]] = {}
         self._element_count = count
-        self._dense = None
 
     def _relabel(self) -> None:
-        """Full fallback relabel (gap exhausted)."""
+        """Full fallback relabel (gap exhausted or label bound reached)."""
         self._counters["relabels"] += 1
         self._assign_labels()
         self._counters["relabel_labels"] += self._element_count
-
-    def _dense_view(self) -> _DenseView:
-        view = self._dense
-        if view is None:
-            view = self._dense = _DenseView(
-                self._order, self._element_of, self._post_of, self._parent_of
-            )
-            self._counters["dense_rebuilds"] += 1
-        return view
 
     # -- lookups ------------------------------------------------------------
 
@@ -241,8 +195,8 @@ class DocumentIndex:
     def position(self, element: Element) -> int:
         """Document-order ``pre`` label of ``element``.
 
-        Labels are order-comparable but *not* dense — use the column
-        accessors for anything that indexes into arrays.
+        Labels are order-comparable but *not* dense: neighbours sit up to
+        :data:`LABEL_GAP` apart, with holes where edits happened.
         """
         return self._label_of[id(element)]
 
@@ -287,44 +241,33 @@ class DocumentIndex:
         hi = bisect_right(labels, self._post_of[pre])
         return tuple(self._tag_elements[tag][lo:hi])
 
-    # -- columns (repro.engine.columns kernels) -------------------------------
+    # -- label columns (repro.engine.columns kernels) -----------------------
 
-    def element_table(self) -> list[Element]:
-        """The dense ``pre rank -> element`` side table (read-only).
+    def label_column(self, tag: Optional[str]) -> array:
+        """Sorted labels of the elements with ``tag`` (``None``: every
+        element) — the index's own column, shared and read-only."""
+        if tag is None:
+            return self._order
+        return self._tag_labels.get(tag) or array("i")
 
-        This is what lets the columnar pipeline defer node materialisation
-        to hash-join assembly: every intermediate stays an int column.
-        """
-        return self._dense_view().elements
+    def labels_of(self, elements: Iterable[Element]) -> array:
+        """Label column of ``elements`` (kept in the iteration order)."""
+        label_of = self._label_of
+        return array("i", [label_of[id(element)] for element in elements])
 
-    def post_column(self) -> array:
-        """``pre rank -> post rank`` as a flat int column."""
-        return self._dense_view().post_column
+    def post_map(self) -> dict[int, int]:
+        """``label -> post label`` (shared, read-only)."""
+        return self._post_of
 
-    def parent_pre_column(self) -> array:
-        """``pre rank -> parent's pre rank`` (``-1`` at the root)."""
-        return self._dense_view().parent_pre_column
+    def parent_map(self) -> dict[int, int]:
+        """``label -> parent's label``, ``-1`` at the root (shared,
+        read-only)."""
+        return self._parent_of
 
-    def all_pres(self) -> array:
-        """Every pre rank, ascending — the wildcard pool column (shared,
-        read-only by convention)."""
-        return self._dense_view().all_pres
-
-    def tag_pres(self, tag: str) -> list[int]:
-        """Sorted pre ranks of elements with ``tag`` (shared, read-only)."""
-        view = self._dense_view()
-        cached = view.tag_pres.get(tag)
-        if cached is None:
-            rank = view.rank_of_label
-            cached = view.tag_pres[tag] = [
-                rank[label] for label in self._tag_labels.get(tag, ())
-            ]
-        return cached
-
-    def pres_of(self, elements: Iterable[Element]) -> array:
-        """Pre-rank column of ``elements`` (kept in the iteration order)."""
-        rank_by_id = self._dense_view().rank_by_id
-        return array("i", (rank_by_id[id(element)] for element in elements))
+    def element_map(self) -> dict[int, Element]:
+        """``label -> element``: what lets the pipeline defer node
+        materialisation to assembly (shared, read-only)."""
+        return self._element_of
 
     # -- bookkeeping ----------------------------------------------------------
 
@@ -380,7 +323,8 @@ class DocumentIndex:
 
         Called *after* the tree edit.  Labels the new nodes inside the gap
         between their document-order neighbours (full relabel only when
-        the gap is exhausted), splices the per-tag/attribute pools and
+        the gap is exhausted or an end append would pass
+        :data:`LABEL_MAX`), splices the per-tag/attribute pools and
         fixes ancestor ``post`` labels in O(depth).  Returns the subtree's
         node count.
         """
@@ -414,21 +358,25 @@ class DocumentIndex:
         else:
             prev_label = self._post_of[self._label_of[id(siblings[slot - 1])]]
         i0 = bisect_right(self._order, prev_label)
-        next_label = self._order[i0] if i0 < len(self._order) else None
-        if next_label is None:
+        if i0 == len(self._order):
+            # End append: a full gap per node, up to the column bound.
             step = LABEL_GAP
+            room = prev_label + step * k <= LABEL_MAX
         else:
-            gap = next_label - prev_label - 1
-            if gap < k:
-                # Gap exhausted at this edit point: relabel everything
-                # from the tree (which already contains the new subtree).
-                self._relabel()
-                return k
-            step = (next_label - prev_label) // (k + 1) or 1
-        labels = [prev_label + step * (i + 1) for i in range(k)]
+            step = (self._order[i0] - prev_label) // (k + 1)
+            room = step > 0
+        if not room:
+            # Gap exhausted at this edit point, or the labels would pass
+            # the column bound: relabel everything from the tree (which
+            # already contains the new subtree).
+            self._relabel()
+            return k
+        labels = array(
+            "i", range(prev_label + step, prev_label + step * (k + 1), step)
+        )
         self._counters["labels_assigned"] += k
 
-        new_tags: dict[str, tuple[list[int], list[Element]]] = {}
+        new_tags: dict[str, tuple[array, list[Element]]] = {}
         new_attrs: dict[str, tuple[list[int], list[Element]]] = {}
         for i, (element, rel) in enumerate(nodes):
             label = labels[i]
@@ -441,7 +389,7 @@ class DocumentIndex:
                 if element is root
                 else labels[index_of[id(element.parent)]]
             )
-            slot_lists = new_tags.setdefault(element.tag, ([], []))
+            slot_lists = new_tags.setdefault(element.tag, (array("i"), []))
             slot_lists[0].append(label)
             slot_lists[1].append(element)
             for name in element.attributes:
@@ -452,7 +400,7 @@ class DocumentIndex:
         # All new labels fall inside one previously label-free interval,
         # so each pool splice is a single contiguous insertion.
         for tag, (tag_ls, tag_es) in new_tags.items():
-            pool_labels = self._tag_labels.setdefault(tag, [])
+            pool_labels = self._tag_labels.setdefault(tag, array("i"))
             pool_elements = self._tag_elements.setdefault(tag, [])
             at = bisect_right(pool_labels, prev_label)
             pool_labels[at:at] = tag_ls
@@ -477,7 +425,6 @@ class DocumentIndex:
             self._post_of[walk_label] = last
             walk = walk.parent  # type: ignore[assignment]
         self._element_count += k
-        self._dense = None
         return k
 
     def note_delete(self, root: Element) -> int:
@@ -545,7 +492,6 @@ class DocumentIndex:
             self._attr_tuples.pop(name, None)
         self._element_count -= k
         self._counters["labels_removed"] += k
-        self._dense = None
         return k
 
     def note_set_attribute(

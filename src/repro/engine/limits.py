@@ -20,7 +20,8 @@ running away with the process.  This module is that governor:
 Like tracing, governance is **pay-for-use**: the state rides on
 :attr:`repro.engine.stats.EvalStats.budget` (``None`` by default) and every
 check site guards on ``is None``, so an unbudgeted run does byte-identical
-work (the bench_smoke ``governance`` guard asserts exactly that).  The
+work (``tests/test_bench_smoke.py`` asserts exactly that over every
+bench query).  The
 deadline clock is only consulted every :data:`CLOCK_STRIDE` work units —
 cheap enough for per-candidate charging, tight enough that a budgeted
 evaluation over tens of thousands of nodes stops well within ~2× its

@@ -117,7 +117,7 @@ class EvalStats:
     #: Rides along exactly like ``trace``: not a counter, excluded from
     #: :meth:`as_dict`, merging keeps the first non-``None`` state, and
     #: check sites guard on ``is None`` so an unbudgeted run does
-    #: byte-identical work (the bench_smoke governance guard asserts it).
+    #: byte-identical work (``tests/test_bench_smoke.py`` asserts it).
     budget: Optional["BudgetState"] = field(default=None, repr=False, compare=False)
 
     def bump(self, counter: str, amount: int = 1) -> None:

@@ -487,11 +487,13 @@ class _Prep:
     static_candidates: dict[str, list[Element]]
     use_intervals: bool = True
     #: Lazy caches: membership id-sets feed only the backtracking core and
-    #: pre columns only the set-at-a-time pipeline, so neither is built
+    #: label columns only the set-at-a-time pipeline, so neither is built
     #: until an engine actually asks (a pure-pipeline run never pays for
     #: sets, a pure-backtracking run never pays for columns).
     _static_sets: dict[str, set[int]] = field(default_factory=dict, repr=False)
-    _static_pres: dict[str, Sequence[int]] = field(default_factory=dict, repr=False)
+    _static_labels: dict[str, Sequence[int]] = field(
+        default_factory=dict, repr=False
+    )
 
     def static_set(self, node_id: str) -> set[int]:
         """Membership id-set of the node's static pool (cached)."""
@@ -502,28 +504,23 @@ class _Prep:
             }
         return cached
 
-    def static_pres(self, node_id: str) -> Sequence[int]:
-        """Sorted pre column of the node's static pool (cached).
+    def static_labels(self, node_id: str) -> Sequence[int]:
+        """Sorted label column of the node's static pool (cached).
 
-        *Pristine* pools — nothing dropped from a single index pool — are
+        A *pristine* pool — nothing dropped from its index pool — is
         recognised by length (static narrowing only ever removes
-        elements, so equal size means equal set) and reuse the index's own
-        sorted pre arrays with zero copying; every other pool pays one
-        ``pre`` lookup per element.  Static pools inherit document order
-        from the index, so the columns are ascending by construction.
+        elements, so equal size means equal set) and is the index's own
+        label column, with no copy; every other pool pays one label
+        lookup per element.  Static pools inherit document order from the
+        index, so the columns are ascending by construction.
         """
-        cached = self._static_pres.get(node_id)
+        cached = self._static_labels.get(node_id)
         if cached is None:
             pool = self.static_candidates[node_id]
-            index = self.index
-            tag = self.graph.nodes[node_id].tag
-            if tag is not None and len(pool) == index.tag_count(tag):
-                cached = index.tag_pres(tag)
-            elif tag is None and len(pool) == index.element_count():
-                cached = index.all_pres()
-            else:
-                cached = index.pres_of(pool)
-            self._static_pres[node_id] = cached
+            cached = self.index.label_column(self.graph.nodes[node_id].tag)
+            if len(pool) != len(cached):
+                cached = self.index.labels_of(pool)
+            self._static_labels[node_id] = cached
         return cached
 
     # Pass-throughs so the engine code reads one object, whether the
@@ -960,12 +957,11 @@ def _fallback_reason(
     Ordered arcs (an n-ary constraint over siblings), negation parents and
     cyclic / multi-edge skeletons stay on the backtracking core.  So does
     a box with no containment arc (``edge-free``): with nothing to
-    semi-join, a set-at-a-time run would only copy the pool into a column
-    — and make the index rebuild its dense view after every structural
-    commit.  The rule reads the query graph alone, so it is decided at
-    compile time.  The returned reason string is stable — EXPLAIN output,
-    fallback counters (``stats.extra["fallback_<reason>"]``) and the trace
-    all carry it.
+    semi-join, a set-at-a-time run would only turn the pool into a label
+    column and straight back into elements.  The rule reads the query
+    graph alone, so it is decided at compile time.  The returned reason
+    string is stable — EXPLAIN output, fallback counters
+    (``stats.extra["fallback_<reason>"]``) and the trace all carry it.
     """
     if any(e.ordered for e in edges):
         return "ordered"
@@ -1057,11 +1053,11 @@ def _setwise_fragment(
     """Evaluate one acyclic fragment set-at-a-time.
 
     Pools are filtered by required circles and pushed-down predicates and
-    become sorted ``pre``-id columns; edge relations are materialised by
-    the interval kernels (:mod:`repro.engine.columns`), then reduced and
+    become sorted label columns; edge relations are materialised by the
+    interval kernels (:mod:`repro.engine.columns`), then reduced and
     hash-joined by :func:`repro.engine.pipeline.evaluate_forest`.  Node
-    objects are looked up in the index's ``pre -> element`` side table
-    only for the surviving assembled rows.
+    objects are looked up in the index's ``label -> element`` map only
+    for the surviving assembled rows.
     """
     stats, index = prep.stats, prep.index
     tracer = stats.trace
@@ -1075,14 +1071,14 @@ def _setwise_fragment(
             values: dict[int, dict[str, str]] = {}
             if not circles and not conditions:
                 # Nothing to resolve or filter: adopt the static pool's
-                # pre column wholesale — for pristine index pools this is
+                # label column wholesale — for pristine index pools this is
                 # the index's own array, no per-element work at all.
-                column: Sequence[int] = prep.static_pres(node_id)
+                column: Sequence[int] = prep.static_labels(node_id)
                 if budget is not None:
                     budget.charge(len(column))
             else:
                 pool, values = _filtered_pool(prep, node_id, circles, conditions)
-                column = index.pres_of(pool)
+                column = index.labels_of(pool)
             if pools_span is not None:
                 pools_span.attributes.setdefault("sizes", {})[node_id] = len(
                     column
@@ -1109,12 +1105,12 @@ def _setwise_fragment(
     order, int_rows = evaluate_forest(
         pools, relations, stats, planner_enabled=prep.options.use_planner
     )
-    table = index.element_table()
+    element_of = index.element_map()
     rows: list[dict[str, object]] = []
     for int_row in int_rows:
         row: dict[str, object] = {}
-        for var, pre in zip(order, int_row):
-            element = table[pre]
+        for var, label in zip(order, int_row):
+            element = element_of[label]
             row[var] = element
             extra = value_rows[var].get(id(element))
             if extra:
@@ -1126,12 +1122,12 @@ def _setwise_fragment(
 def _edge_pairs(
     prep: _Prep, edge: ContainmentEdge, pools: dict[str, Sequence[int]]
 ) -> tuple[Sequence[int], Sequence[int]]:
-    """Column pairs satisfying one containment arc (sorted pre columns).
+    """Column pairs satisfying one containment arc (sorted label columns).
 
-    Direct arcs probe each child's slot in the ``parent_pre`` column
-    (O(child pool)); deep arcs become one bisect range per parent over the
-    child column — no descendant enumeration, no ancestor walks.  When a
-    budget is armed, deep pair counts are known *before* materialisation
+    Direct arcs look up each child's parent label (O(child pool)); deep
+    arcs become one bisect range per parent over the child column — no
+    descendant enumeration, no ancestor walks.  When a budget is armed,
+    deep pair counts are known *before* materialisation
     (:func:`containment_count` is pure bisect arithmetic), so the row cap
     trips without ever building the oversized pair set.
     """
@@ -1140,14 +1136,12 @@ def _edge_pairs(
     parent_col = pools[edge.parent]
     child_col = pools[edge.child]
     if not edge.deep:
-        left, right = direct_pairs(
-            parent_col, index.parent_pre_column(), child_col
-        )
+        left, right = direct_pairs(parent_col, index.parent_map(), child_col)
         if budget is not None:
             budget.charge(len(child_col))
             budget.add_rows(len(left))
         return left, right
-    posts = index.post_column()
+    posts = index.post_map()
     stats.interval_lookups += len(parent_col)
     if budget is not None:
         budget.charge(len(parent_col) + len(child_col))

@@ -4,7 +4,10 @@ Every kernel is checked against a brute-force oracle, on both backends
 when numpy is importable: the backend pin is flipped by monkeypatching
 ``columns._FORCED`` (the module-level snapshot of ``REPRO_COLUMNS``), so
 one test run covers the pure-Python and the vectorised paths with
-identical inputs.
+identical inputs.  The tree cases run twice: on dense pre numbers with
+list-shaped structure, and on gap labels with holes and label-keyed
+dicts, which is what a maintained :class:`DocumentIndex` hands the
+kernels after edits.
 """
 
 import random
@@ -24,6 +27,7 @@ from repro.engine.columns import (
     member_filter,
     unique_sorted,
 )
+from repro.engine.index import LABEL_GAP
 
 BACKENDS = ["python"] + (["numpy"] if HAVE_NUMPY else [])
 
@@ -51,6 +55,38 @@ def random_tree_columns(rng: random.Random, count: int):
             posts[ancestor] = max(posts[ancestor], posts[pre])
             ancestor = parent_pre[ancestor]
     return posts, parent_pre
+
+
+def tree_labels(rng: random.Random, count: int, spacing: int):
+    """A random tree as ``(labels, post_of, parent_of)``.
+
+    ``spacing == 1`` keeps dense pre numbers and list-shaped maps.
+    Otherwise labels are multiples of ``spacing`` with random holes (the
+    labels deleted subtrees leave behind) and the maps are label-keyed
+    dicts, the shape :class:`DocumentIndex` keeps.
+    """
+    posts, parent_pre = random_tree_columns(rng, count)
+    if spacing == 1:
+        return list(range(count)), posts, parent_pre
+    labels = []
+    label = 0
+    for _ in range(count):
+        label += spacing * rng.choice((1, 1, 2, 5))
+        labels.append(label)
+    post_of = {labels[pre]: labels[posts[pre]] for pre in range(count)}
+    parent_of = {
+        labels[pre]: labels[parent_pre[pre]] if parent_pre[pre] >= 0 else -1
+        for pre in range(count)
+    }
+    return labels, post_of, parent_of
+
+
+def tree_cases(seeds: int) -> list:
+    """``(seed, spacing)`` cases: dense pre numbers (ids ``0``..) and gap
+    labels (ids ``gap-0``..)."""
+    return [pytest.param(seed, 1, id=str(seed)) for seed in range(seeds)] + [
+        pytest.param(seed, LABEL_GAP, id=f"gap-{seed}") for seed in range(seeds)
+    ]
 
 
 class TestBasics:
@@ -91,13 +127,13 @@ class TestIntersectSorted:
 
 
 class TestContainmentKernels:
-    @pytest.mark.parametrize("seed", range(6))
-    def test_pairs_match_interval_oracle(self, pinned_backend, seed):
+    @pytest.mark.parametrize("seed, spacing", tree_cases(6))
+    def test_pairs_match_interval_oracle(self, pinned_backend, seed, spacing):
         rng = random.Random(seed)
         count = rng.randint(2, 400)
-        posts, parent_pre = random_tree_columns(rng, count)
-        parents = unique_sorted(rng.sample(range(count), rng.randint(1, count)))
-        children = unique_sorted(rng.sample(range(count), rng.randint(1, count)))
+        labels, posts, _ = tree_labels(rng, count, spacing)
+        parents = unique_sorted(rng.sample(labels, rng.randint(1, count)))
+        children = unique_sorted(rng.sample(labels, rng.randint(1, count)))
         expected = [
             (p, c)
             for p in parents
@@ -116,20 +152,22 @@ class TestContainmentKernels:
 
 
 class TestDirectPairs:
-    @pytest.mark.parametrize("seed", range(6))
-    def test_pairs_match_parent_pointer_oracle(self, pinned_backend, seed):
+    @pytest.mark.parametrize("seed, spacing", tree_cases(6))
+    def test_pairs_match_parent_pointer_oracle(
+        self, pinned_backend, seed, spacing
+    ):
         rng = random.Random(seed)
         count = rng.randint(2, 400)
-        _, parent_pre = random_tree_columns(rng, count)
-        parents = unique_sorted(rng.sample(range(count), rng.randint(1, count)))
-        children = unique_sorted(rng.sample(range(count), rng.randint(1, count)))
+        labels, _, parent_of = tree_labels(rng, count, spacing)
+        parents = unique_sorted(rng.sample(labels, rng.randint(1, count)))
+        children = unique_sorted(rng.sample(labels, rng.randint(1, count)))
         parent_members = set(parents)
         expected = [
-            (parent_pre[c], c)
+            (parent_of[c], c)
             for c in children
-            if parent_pre[c] >= 0 and parent_pre[c] in parent_members
+            if parent_of[c] >= 0 and parent_of[c] in parent_members
         ]
-        left, right = direct_pairs(parents, column(parent_pre), children)
+        left, right = direct_pairs(parents, parent_of, children)
         assert list(zip(left, right)) == expected
 
 
@@ -137,13 +175,13 @@ class TestDirectPairs:
 class TestBackendAgreement:
     """The two backends must be bit-identical on the same inputs."""
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_all_kernels_agree(self, monkeypatch, seed):
+    @pytest.mark.parametrize("seed, spacing", tree_cases(4))
+    def test_all_kernels_agree(self, monkeypatch, seed, spacing):
         rng = random.Random(1000 + seed)
         count = 500  # above _NUMPY_MIN so auto would vectorise too
-        posts, parent_pre = random_tree_columns(rng, count)
-        parents = unique_sorted(rng.sample(range(count), 200))
-        children = unique_sorted(rng.sample(range(count), 300))
+        labels, posts, parent_of = tree_labels(rng, count, spacing)
+        parents = unique_sorted(rng.sample(labels, 200))
+        children = unique_sorted(rng.sample(labels, 300))
         results = {}
         for pin in ("python", "numpy"):
             monkeypatch.setattr(columns, "_FORCED", pin)
@@ -156,7 +194,7 @@ class TestBackendAgreement:
                 ),
                 tuple(
                     list(side)
-                    for side in direct_pairs(parents, column(parent_pre), children)
+                    for side in direct_pairs(parents, parent_of, children)
                 ),
             )
         assert results["python"] == results["numpy"]

@@ -2,18 +2,35 @@
 
 import pytest
 
-from repro.engine import DocumentIndex
-from repro.engine.cache import DocumentIndexCache
+from repro.engine import DocumentIndex, columns
+from repro.engine import index as index_module
+from repro.engine.bindings import value_key
+from repro.engine.index import LABEL_GAP
 from repro.engine.mutate import (
     MutationBatch,
     apply_batch,
     current_revision,
     ops_from_spec,
 )
+from repro.engine.options import ExecOptions
+from repro.engine.stats import EvalStats
 from repro.errors import MutationError
-from repro.session import QuerySession
 from repro.ssd import parse_document, serialize
 from repro.ssd.model import Element, Text
+from repro.xmlgl.dsl import parse_rule
+from repro.xmlgl.matcher import match
+
+BACKENDS = ["python"] + (["numpy"] if columns.HAVE_NUMPY else [])
+
+#: Containment-arc queries the pipeline answers with the column kernels:
+#: direct arcs, a deep arc, and a deep wildcard under a direct arc.
+CONTAINMENT_QUERIES = [
+    "query { root bib as R { book as B { title as T } } }"
+    " construct { r { collect T } }",
+    "query { root bib as R { deep title as T } } construct { r { collect T } }",
+    "query { bib as R { book as B { deep * as X } } }"
+    " construct { r { collect X } }",
+]
 
 
 def doc():
@@ -45,6 +62,27 @@ def assert_index_matches_fresh(index, document):
     for a in elements:
         for b in elements:
             assert index.is_ancestor(a, b) == fresh.is_ancestor(a, b), (a, b)
+
+
+def assert_containment_matches_naive(index, document):
+    """The pipeline, reading the maintained labels, must bind exactly what
+    the naive engine binds from the tree alone."""
+
+    def keyed(bindings):
+        return sorted(
+            tuple(sorted((var, value_key(b[var])) for var in b))
+            for b in bindings
+        )
+
+    for text in CONTAINMENT_QUERIES:
+        graph = parse_rule(text).queries[0]
+        stats = EvalStats()
+        pipeline = match(
+            graph, document, options=ExecOptions(), index=index, stats=stats
+        )
+        assert stats.relation_pairs > 0, text  # the kernels ran
+        naive = match(graph, document, options=ExecOptions(engine="naive"))
+        assert keyed(pipeline) == keyed(naive), text
 
 
 class TestOperations:
@@ -256,24 +294,73 @@ class TestIndexMaintenance:
         assert after["labels_assigned"] > before["labels_assigned"]
         assert after["stats_nodes"] == 0  # the index keeps no statistics
 
-    def test_edge_free_read_after_structural_commit_skips_dense_view(self):
-        # an edge-free box runs node-at-a-time, so reading it after a
-        # structural commit never rebuilds the kernels' dense view
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_containment_reads_on_sparse_labels_match_naive(
+        self, monkeypatch, backend
+    ):
+        # the kernels read the gap labels directly: after inserts inside
+        # label gaps and after deletes the label columns have holes
+        monkeypatch.setattr(columns, "_FORCED", backend)
         document = doc()
-        indexes = DocumentIndexCache()
-        session = QuerySession(document, indexes=indexes)
-        index = indexes.get(document)
-        edge_free = (
-            "query { book as B { @year as Y } } construct { r { collect B } }"
+        index = DocumentIndex(document)
+        for i in range(2):
+            apply_batch(
+                document,
+                MutationBatch().insert_subtree(
+                    document.root, book(f"N{i}", "2001"), 1
+                ),
+                indexes=[index],
+            )
+        apply_batch(
+            document,
+            MutationBatch().insert_subtree(
+                document.root.child_elements()[-2], book("Nested", "2002"), 0
+            ),
+            indexes=[index],
         )
-        session.run(edge_free)
-        before = index.maintenance_counters()["dense_rebuilds"]
-        session.mutate(
-            MutationBatch().insert_subtree(document.root, book("D", "2001"))
-        )
-        session.run(edge_free)
-        assert len(session.current().result.root.child_elements()) == 3
-        assert index.maintenance_counters()["dense_rebuilds"] == before
+        assert index.maintenance_counters()["relabels"] == 0
+        labels = list(index.label_column(None))
+        assert labels != list(range(0, len(labels) * LABEL_GAP, LABEL_GAP))
+        assert_containment_matches_naive(index, document)
+        for position in (0, 2):
+            apply_batch(
+                document,
+                MutationBatch().delete_subtree(
+                    document.root.child_elements()[position]
+                ),
+                indexes=[index],
+            )
+        assert index.maintenance_counters()["relabels"] == 0
+        assert_index_matches_fresh(index, document)
+        assert_containment_matches_naive(index, document)
+
+    def test_end_appends_compact_labels_at_the_column_bound(self, monkeypatch):
+        # append at the end, delete at the front: deletes never reclaim
+        # labels, so without compaction the labels would grow past what an
+        # int column holds
+        bound = 40 * LABEL_GAP
+        monkeypatch.setattr(index_module, "LABEL_MAX", bound)
+        document = doc()
+        index = DocumentIndex(document)
+        for i in range(30):
+            apply_batch(
+                document,
+                MutationBatch().insert_subtree(
+                    document.root, book(f"Q{i}", "2001")
+                ),
+                indexes=[index],
+            )
+            apply_batch(
+                document,
+                MutationBatch().delete_subtree(
+                    document.root.child_elements()[0]
+                ),
+                indexes=[index],
+            )
+            assert index.label_column(None)[-1] <= bound
+        assert index.maintenance_counters()["relabels"] >= 1
+        assert_index_matches_fresh(index, document)
+        assert_containment_matches_naive(index, document)
 
 
 class TestTouchedRegion:
