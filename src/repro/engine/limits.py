@@ -30,9 +30,11 @@ deadline.
 The degradation ladder (documented in DESIGN.md § Resource governance):
 
 1. a set-at-a-time fragment whose materialised relations or hash-join rows
-   would exceed ``max_hashjoin_rows`` **degrades** to the backtracking core
-   for that fragment (fallback reason ``budget``, counter
-   ``degraded_fragments``) — slower, but bounded memory;
+   exceed ``max_hashjoin_rows`` **degrades** to the backtracking core for
+   that fragment — slower, but bounded memory.  Both matchers run every
+   fragment through :func:`repro.engine.pipeline.run_fragment`, the one
+   driver that refunds the abandoned rows and records the fallback reason
+   ``budget`` and the counter ``degraded_fragments``;
 2. a limit the ladder cannot absorb raises :class:`BudgetExceeded` /
    :class:`DeadlineExceeded` carrying the partial ``EvalStats``;
 3. under ``on_limit="partial"`` the matchers catch step 2 and return the
@@ -45,7 +47,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from ..errors import BudgetExceeded, DeadlineExceeded, QueryCancelled
 
@@ -248,12 +250,6 @@ class BudgetState:
             self._exceed("max_hashjoin_rows", max_rows, self.rows)
         self.charge(count)
 
-    def bounded_rows(self, pairs: Iterable[Any]) -> Iterator[Any]:
-        """Wrap a pair iterator so every yielded row is accounted."""
-        for pair in pairs:
-            self.add_rows(1)
-            yield pair
-
     def check_bindings(self, produced: int) -> None:
         """Enforce ``max_bindings`` against the bindings produced so far."""
         max_bindings = self.budget.max_bindings
@@ -265,17 +261,6 @@ class BudgetState:
         max_nodes = self.budget.max_result_nodes
         if max_nodes is not None and nodes > max_nodes:
             self._exceed("max_result_nodes", max_nodes, nodes)
-
-    # -- degradation ----------------------------------------------------------
-
-    def would_exceed_rows(self, estimate: int) -> bool:
-        """Whether materialising ``estimate`` more rows must trip the cap.
-
-        The pipeline asks this *before* evaluating a fragment set-at-a-time
-        so it can degrade to backtracking instead of failing mid-join.
-        """
-        max_rows = self.budget.max_hashjoin_rows
-        return max_rows is not None and self.rows + estimate > max_rows
 
 
 def arm_budget(

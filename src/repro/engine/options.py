@@ -32,7 +32,8 @@ document matcher, the WG-Log graph matcher, the evaluators and
 * ``use_planner`` — the EXT-A1 ablation switch: ``False`` keeps the
   drawing order as the join / backtracking order instead of the
   cost-based :func:`repro.engine.planner.plan_order`.  Honoured by every
-  engine.
+  XML-GL engine; WG-Log always plans (its graph matcher shares
+  ``plan_order`` but reads no ablation switch).
 
 * ``trace`` — record a span tree (:mod:`repro.engine.trace`) of the
   evaluation.  The outermost entry point attaches a fresh

@@ -22,14 +22,19 @@ set-at-a-time counterpart of a backtracking search that never backtracks.
 The pipeline only accepts **forests** (acyclic join structure); callers
 detect cyclic fragments with :func:`is_forest` /
 :func:`connected_components` and fall back to their backtracking core for
-those, per fragment.
+those, per fragment.  :func:`run_fragment` is the one driver both matchers
+run each fragment through: it makes that pipeline-or-fallback choice, and
+it degrades a fragment that trips the ``max_hashjoin_rows`` cap to the
+fallback (:func:`degrade`, step 1 of the ladder in
+:mod:`repro.engine.limits`).
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Hashable, Iterable, Sequence
+from typing import Any, Callable, Hashable, Iterable, Optional, Sequence
 
+from ..errors import BudgetExceeded
 from .joins import ColumnRelation, join_forest, semijoin_reduce
 from .planner import plan_order
 from .stats import EvalStats
@@ -37,9 +42,11 @@ from .trace import span as trace_span
 
 __all__ = [
     "connected_components",
+    "degrade",
     "is_forest",
     "evaluate_forest",
     "relation_for",
+    "run_fragment",
 ]
 
 Var = Hashable
@@ -181,3 +188,75 @@ def relation_for(
     stats.edge_checks += 1
     stats.relation_pairs += len(relation)
     return relation
+
+
+def run_fragment(
+    stats: EvalStats,
+    variables: Sequence[Var],
+    reason: Optional[str],
+    setwise: Optional[Callable[[], list[Any]]],
+    fallback: Callable[[], list[Any]],
+) -> list[Any]:
+    """Evaluate one query fragment on the pipeline or its fallback.
+
+    ``reason`` is the fragment's static fallback reason (``None`` when the
+    pipeline covers it; ``setwise`` is then called).  Otherwise, or when
+    ``setwise`` trips ``max_hashjoin_rows``, the fragment's own
+    backtracking ``fallback`` runs instead.  Every other
+    :class:`~repro.errors.BudgetExceeded` propagates.  Both callables
+    return the fragment's rows.
+
+    This is the only place that opens the ``match.fragment`` span
+    (``decision``, ``reason``, ``rows``) and bumps
+    ``pipeline_fragments`` / ``pipeline_fallbacks`` /
+    ``fallback_<reason>``; reason strings are the stable identifiers
+    EXPLAIN output shares.
+    """
+    names = [str(var) for var in variables]
+    with trace_span(
+        stats.trace,
+        "match.fragment",
+        variables=names,
+        decision="pipeline" if reason is None else "fallback",
+        reason=reason,
+    ) as fragment_span:
+        rows = None
+        if reason is None:
+            assert setwise is not None
+            stats.pipeline_fragments += 1
+            rows_before = 0 if stats.budget is None else stats.budget.rows
+            try:
+                rows = setwise()
+            except BudgetExceeded as exc:
+                if exc.limit != "max_hashjoin_rows":
+                    raise
+                degrade(stats, rows_before, variables=names)
+                if fragment_span is not None:
+                    fragment_span["decision"] = "fallback"
+                    fragment_span["reason"] = "budget"
+        else:
+            stats.pipeline_fallbacks += 1
+            stats.bump(f"fallback_{reason}")
+        if rows is None:
+            rows = fallback()
+        if fragment_span is not None:
+            fragment_span["rows"] = len(rows)
+    return rows
+
+
+def degrade(stats: EvalStats, rows_before: int, **attributes: Any) -> None:
+    """Book-keep one row-cap degradation before its fallback runs.
+
+    The abandoned rows are refunded (``budget.rows`` back to
+    ``rows_before``) so sibling fragments keep their headroom — those rows
+    were discarded, not kept.  Records the fallback reason ``budget`` like
+    a static reason, plus the governance counter ``degraded_fragments``,
+    and emits a ``degraded`` trace event carrying ``attributes``.
+    """
+    stats.pipeline_fallbacks += 1
+    stats.bump("fallback_budget")
+    stats.bump("degraded_fragments")
+    if stats.budget is not None:
+        stats.budget.rows = rows_before
+    if stats.trace is not None:
+        stats.trace.event("degraded", reason="budget", **attributes)

@@ -43,7 +43,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional, Union
 
-from ..errors import ReproError
 from ..ssd.model import Document
 from .bindings import Binding, BindingSet
 from .conditions import AttributeOf, ContentOf
@@ -414,13 +413,3 @@ class Subscription:
                 f"{self.id}: {len(self._rows)} rows, {self.evals} evals, "
                 f"{self.skips} skips, rev {self.last_revision}"
             )
-
-
-def check_subscribable(query: Any) -> None:
-    """Raise :class:`ReproError` for rules a subscription cannot track.
-
-    Currently everything evaluable is subscribable; the hook exists so the
-    session raises one typed error from one place if that changes.
-    """
-    if query is None:
-        raise ReproError("cannot subscribe to an empty query")

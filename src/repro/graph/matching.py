@@ -5,29 +5,36 @@ mappings of a small pattern graph into a large data graph that preserve
 labels and edges.  This module implements a backtracking matcher with
 
 * candidate pre-filtering by node compatibility (label / value hooks),
-* most-constrained-first variable ordering (fewest candidates, preferring
-  nodes adjacent to already-matched ones),
+* most-constrained-first variable ordering from the shared planner
+  (:func:`repro.engine.planner.plan_order`: nodes adjacent to
+  already-matched ones first, then fewest candidates),
 * optional injectivity (isomorphic embeddings vs. plain homomorphisms),
 * support for *regular path* pattern edges that match any non-empty
   directed path in the data graph (WG-Log's dashed edges).
 
 The matcher works on :class:`~repro.graph.labeled_graph.LabeledGraph`
 pattern/data pairs; XML documents are matched by a specialised tree matcher
-in :mod:`repro.xmlgl.matcher` that shares the same ordering ideas.
+in :mod:`repro.xmlgl.matcher` that shares the same planner.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import product
 from typing import Callable, Collection, Hashable, Iterable, Iterator, Optional
 
 from ..engine.narrowing import intersect_pools
-from ..engine.pipeline import connected_components, evaluate_forest, is_forest, relation_for
+from ..engine.pipeline import (
+    connected_components,
+    evaluate_forest,
+    is_forest,
+    relation_for,
+    run_fragment,
+)
+from ..engine.planner import plan_order
 from ..engine.stats import EvalStats
-from ..engine.trace import span as trace_span
-from ..errors import BudgetExceeded
 from .labeled_graph import Edge, LabeledGraph
 from .traversal import reachable_by_labels
 
@@ -148,12 +155,21 @@ def find_homomorphisms(
         candidates[pnode] = cands
         candidate_sets[pnode] = set(cands)
 
-    order = _variable_order(pattern_nodes, candidates, positive_edges)
     # Index positive edges by endpoint for incremental checking.
     edges_by_node: dict[NodeId, list[Edge]] = {p: [] for p in pattern_nodes}
+    neighbours: dict[NodeId, set[NodeId]] = {p: set() for p in pattern_nodes}
     for edge in positive_edges:
         edges_by_node[edge.source].append(edge)
         edges_by_node[edge.target].append(edge)
+        neighbours[edge.source].add(edge.target)
+        neighbours[edge.target].add(edge.source)
+    # Most-constrained first, keeping the frontier connected so edge_ok
+    # prunes early; ties break by pattern-node position.
+    order = plan_order(
+        pattern_nodes,
+        estimate=lambda p: len(candidates[p]),
+        adjacency=neighbours,
+    )
 
     reach_cache: dict[tuple, set[NodeId]] = {}
 
@@ -246,7 +262,8 @@ def find_homomorphisms_setwise(
     :func:`repro.engine.pipeline.evaluate_forest` (semi-join reduction,
     then hash joins).  Components the pipeline cannot cover — cyclic
     skeletons, path edges, negated edges — fall back to the backtracking
-    matcher; fallbacks are tallied in ``stats.pipeline_fallbacks``.
+    matcher; :func:`repro.engine.pipeline.run_fragment` drives that choice
+    per component and tallies it.
     Seeded pools (``spec.candidates``) and restricted relations
     (``spec.edge_pairs``) are honoured on both routes.
 
@@ -272,69 +289,24 @@ def find_homomorphisms_setwise(
     for component in components:
         nodes = [p for p in pattern_nodes if p in component]
         edges = [e for e in all_edges if e.source in component]
-        fallback_reason = _setwise_fallback_reason(component, edges, spec)
-        with trace_span(
-            stats.trace,
-            "match.fragment",
-            variables=[str(p) for p in nodes],
-            decision="pipeline" if fallback_reason is None else "fallback",
-            reason=fallback_reason,
-        ) as fragment_span:
-            subspec = MatchSpec(
-                injective=False,
-                node_compat=compat,
-                path_edges={
-                    e for e in spec.path_edges if e.source in component
-                },
-                negated_edges={
-                    e for e in spec.negated_edges if e.source in component
-                },
-                narrow=spec.narrow,
-                candidates=spec.candidates,
-                edge_pairs=spec.edge_pairs,
-            )
-            if fallback_reason is None:
-                stats.pipeline_fragments += 1
-                rows_before = 0 if stats.budget is None else stats.budget.rows
-                try:
-                    rows = _setwise_component(nodes, edges, data, subspec, stats)
-                except BudgetExceeded as exc:
-                    if exc.limit != "max_hashjoin_rows":
-                        raise
-                    # Degradation ladder: the component's materialised
-                    # relations blew the row cap — refund the discarded
-                    # rows and re-run it node-at-a-time (bounded memory).
-                    stats.pipeline_fallbacks += 1
-                    stats.bump("fallback_budget")
-                    stats.bump("degraded_fragments")
-                    if stats.budget is not None:
-                        stats.budget.rows = rows_before
-                    if fragment_span is not None:
-                        fragment_span["decision"] = "fallback"
-                        fragment_span["reason"] = "budget"
-                    if stats.trace is not None:
-                        stats.trace.event(
-                            "degraded",
-                            reason="budget",
-                            variables=[str(p) for p in nodes],
-                        )
-                    rows = [
-                        dict(m)
-                        for m in find_homomorphisms(
-                            pattern.subgraph(nodes), data, subspec, stats=stats
-                        )
-                    ]
-            else:
-                stats.pipeline_fallbacks += 1
-                stats.bump(f"fallback_{fallback_reason}")
-                rows = [
-                    dict(m)
-                    for m in find_homomorphisms(
-                        pattern.subgraph(nodes), data, subspec, stats=stats
-                    )
-                ]
-            if fragment_span is not None:
-                fragment_span["rows"] = len(rows)
+        subspec = MatchSpec(
+            injective=False,
+            node_compat=compat,
+            path_edges={e for e in spec.path_edges if e.source in component},
+            negated_edges={
+                e for e in spec.negated_edges if e.source in component
+            },
+            narrow=spec.narrow,
+            candidates=spec.candidates,
+            edge_pairs=spec.edge_pairs,
+        )
+        rows = run_fragment(
+            stats,
+            nodes,
+            _setwise_fallback_reason(component, edges, spec),
+            partial(_setwise_component, nodes, edges, data, subspec, stats),
+            partial(_backtrack_component, pattern, nodes, data, subspec, stats),
+        )
         if not rows:
             return
         per_component.append(rows)
@@ -346,6 +318,17 @@ def find_homomorphisms_setwise(
             stats.bump("injective_dropped")
             continue
         yield merged
+
+
+def _backtrack_component(
+    pattern: LabeledGraph,
+    nodes: list[NodeId],
+    data: LabeledGraph,
+    spec: MatchSpec,
+    stats: EvalStats,
+) -> list[dict[NodeId, NodeId]]:
+    """One component node-at-a-time: the fallback of the pipeline route."""
+    return list(find_homomorphisms(pattern.subgraph(nodes), data, spec, stats))
 
 
 def _setwise_fallback_reason(
@@ -467,34 +450,3 @@ def count_homomorphisms(
     """Number of matches (convenience wrapper)."""
     return sum(1 for _ in find_homomorphisms(pattern, data, spec))
 
-
-def _variable_order(
-    pattern_nodes: list[NodeId],
-    candidates: dict[NodeId, list[NodeId]],
-    edges: list[Edge],
-) -> list[NodeId]:
-    """Most-constrained-first ordering that keeps the frontier connected.
-
-    Start with the node owning the fewest candidates; repeatedly pick the
-    unordered node with the most already-ordered neighbours, tie-broken by
-    candidate count.  Connected frontiers let ``edge_ok`` prune early.
-    """
-    neighbours: dict[NodeId, set[NodeId]] = {p: set() for p in pattern_nodes}
-    for edge in edges:
-        neighbours[edge.source].add(edge.target)
-        neighbours[edge.target].add(edge.source)
-
-    remaining = set(pattern_nodes)
-    order: list[NodeId] = []
-    while remaining:
-        ordered = set(order)
-        best = min(
-            remaining,
-            key=lambda p: (
-                -len(neighbours[p] & ordered),
-                len(candidates[p]),
-            ),
-        )
-        order.append(best)
-        remaining.discard(best)
-    return order

@@ -185,7 +185,6 @@ def _stats_summary(row: BatchResult) -> dict[str, Any]:
     counters = row.stats.as_dict()
     return {
         "bindings_produced": counters.get("bindings_produced", 0),
-        "work": counters.get("work", 0),
         "plan_cache_hits": counters.get("plan_cache_hits", 0),
         "plan_cache_misses": counters.get("plan_cache_misses", 0),
         "truncated": bool(row.stats.extra.get("truncated", False)),

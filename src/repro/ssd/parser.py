@@ -8,8 +8,6 @@ the very beginning.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..errors import XmlSyntaxError
 from .lexer import Lexer, Token, TokenType
 from .model import Comment, Document, Element, ProcessingInstruction, Text
@@ -130,11 +128,3 @@ def _feed_content(stack: list[Element], token: Token) -> None:
         raise XmlSyntaxError(
             "DOCTYPE inside the root element", token.line, token.column
         )
-
-
-def try_parse(source: str) -> Optional[Document]:
-    """Parse, returning ``None`` instead of raising on syntax errors."""
-    try:
-        return parse_document(source)
-    except XmlSyntaxError:
-        return None

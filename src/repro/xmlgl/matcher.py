@@ -60,6 +60,7 @@ Three engines share this module (``ExecOptions.engine``):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import product
 from typing import Iterator, Optional, Sequence
 
@@ -84,9 +85,11 @@ from ..engine.narrowing import intersect_pools
 from ..engine.options import ExecOptions
 from ..engine.pipeline import (
     connected_components,
+    degrade,
     evaluate_forest,
     is_forest,
     relation_for,
+    run_fragment,
 )
 from ..engine.planner import plan_order
 from ..engine.stats import EvalStats
@@ -631,7 +634,7 @@ def _fragment_bindings(
     right after this generator.  With ``fragment_ids`` covering every box
     this is exactly the legacy single-pass engine.  ``pools`` overrides
     per-box candidate pools (pushed-down conditions applied by
-    :func:`_pushdown_pools`) without touching the shared preparation.
+    :func:`_fallback_fragment`) without touching the shared preparation.
     """
     graph, index, options, stats = prep.graph, prep.index, prep.options, prep.stats
     budget = stats.budget
@@ -789,71 +792,37 @@ def _match_pipeline(prep: _Prep) -> Iterator[Binding]:
     fallback; see the module docstring for the plan shape."""
     branch = prep.branch
     graph, stats = prep.graph, prep.stats
-    tracer = stats.trace
 
     # A circle with several parent arcs resolves against each in edge
     # order (last write wins); that interleaving is inherently
     # tuple-at-a-time, so keep the legacy core for the whole expansion.
     if branch.multi_parent_circle:
-        stats.pipeline_fallbacks += 1
-        stats.bump("fallback_multi-parent-circle")
-        with trace_span(
-            tracer,
-            "match.fragment",
-            variables=list(prep.element_ids),
-            decision="fallback",
-            reason="multi-parent-circle",
-        ):
-            yield from _match_backtracking(prep)
+        yield from run_fragment(
+            stats,
+            prep.element_ids,
+            "multi-parent-circle",
+            None,
+            lambda: list(_match_backtracking(prep)),
+        )
         return
-
-    values_by_parent = branch.values_by_parent
-    pushed = branch.pushed
-    consumed = set(branch.consumed)
 
     fragments: list[tuple[set[str], list[dict[str, object]]]] = []
     for ids, edges, fallback_reason in branch.components:
-        with trace_span(
-            tracer,
-            "match.fragment",
-            variables=ids,
-            decision="pipeline" if fallback_reason is None else "fallback",
-            reason=fallback_reason,
-        ) as fragment_span:
-            if fallback_reason is None:
-                stats.pipeline_fragments += 1
-                rows_before = 0 if stats.budget is None else stats.budget.rows
-                try:
-                    rows = _setwise_fragment(
-                        prep, ids, edges, values_by_parent, pushed
-                    )
-                except BudgetExceeded as exc:
-                    if exc.limit != "max_hashjoin_rows":
-                        raise
-                    # Degradation ladder step 1: the fragment's materialised
-                    # relations / join rows blew the memory-ish cap, so
-                    # discard them and re-run this fragment on the
-                    # backtracking core (bounded memory, node-at-a-time).
-                    rows = _degrade_fragment(
-                        prep, ids, pushed, fragment_span, rows_before
-                    )
-            else:
-                stats.pipeline_fallbacks += 1
-                stats.bump(f"fallback_{fallback_reason}")
-                rows = list(
-                    _fragment_bindings(
-                        prep, ids, pools=_pushdown_pools(prep, ids)
-                    )
-                )
-            if fragment_span is not None:
-                fragment_span["rows"] = len(rows)
+        rows = run_fragment(
+            stats,
+            ids,
+            fallback_reason,
+            partial(_setwise_fragment, prep, ids, edges),
+            partial(_fallback_fragment, prep, ids),
+        )
         if not rows:
             return  # conjunctive semantics: one empty fragment, no bindings
         variables = set(ids) | {
-            e.child for n in ids for e in values_by_parent.get(n, ())
+            e.child for n in ids for e in branch.values_by_parent.get(n, ())
         }
         fragments.append((variables, rows))
 
+    consumed = set(branch.consumed)
     rows_before_combine = 0 if stats.budget is None else stats.budget.rows
     try:
         rows = _combine_fragments(graph.conditions, fragments, consumed, stats)
@@ -867,13 +836,7 @@ def _match_pipeline(prep: _Prep) -> Iterator[Binding]:
         # join blew the row cap.  Discard the joined rows and re-run the
         # whole graph on the backtracking core (bounded memory), which
         # re-checks every rule-level condition itself.
-        stats.pipeline_fallbacks += 1
-        stats.bump("fallback_budget")
-        stats.bump("degraded_fragments")
-        assert stats.budget is not None
-        stats.budget.rows = rows_before_combine
-        if tracer is not None:
-            tracer.event("degraded", scope="combine", reason="budget")
+        degrade(stats, rows_before_combine, scope="combine")
         rows = list(_fragment_bindings(prep, list(prep.element_ids)))
         remaining = list(graph.conditions)
     final: list[dict[str, object]] = []
@@ -896,55 +859,6 @@ def _match_pipeline(prep: _Prep) -> Iterator[Binding]:
     )
     for row in final:
         yield Binding(row)
-
-
-def _degrade_fragment(
-    prep: _Prep,
-    ids: list[str],
-    pushed: dict[str, list[Condition]],
-    fragment_span,
-    rows_before: int,
-) -> list[dict[str, object]]:
-    """Re-run one fragment on the backtracking core after a row-cap trip.
-
-    Records the stable fallback reason ``budget`` exactly like the static
-    fallback reasons (counter ``fallback_budget``, span ``decision`` /
-    ``reason`` attributes digested by ``explain()``) plus the governance
-    counter ``degraded_fragments``.  The abandoned fragment's row charge is
-    refunded (back to ``rows_before``) so sibling fragments keep their
-    headroom — those rows were discarded, not kept.
-
-    The fragment's pushed-down conditions (already consumed from the final
-    filter) are re-applied here: the backtracking core does not see pool
-    filters, so skipping them would leak rows the pipeline would have cut.
-    """
-    stats = prep.stats
-    budget = stats.budget
-    stats.pipeline_fallbacks += 1
-    stats.bump("fallback_budget")
-    stats.bump("degraded_fragments")
-    if budget is not None:
-        budget.rows = rows_before
-    if fragment_span is not None:
-        fragment_span["decision"] = "fallback"
-        fragment_span["reason"] = "budget"
-    if stats.trace is not None:
-        stats.trace.event("degraded", reason="budget", variables=list(ids))
-    rows = list(_fragment_bindings(prep, ids))
-    conditions = [c for n in ids for c in pushed.get(n, ())]
-    if conditions:
-        kept = []
-        for row in rows:
-            ok = True
-            for condition in conditions:
-                stats.condition_checks += 1
-                if not condition.evaluate(row, _ACCESSOR):  # type: ignore[arg-type]
-                    ok = False
-                    break
-            if ok:
-                kept.append(row)
-        rows = kept
-    return rows
 
 
 def _fallback_reason(
@@ -974,30 +888,23 @@ def _fallback_reason(
     return None
 
 
-def _pushdown_pools(
-    prep: _Prep, ids: Sequence[str]
-) -> Optional[dict[str, list[Element]]]:
-    """Per-box pool overrides applying pushed-down conditions.
+def _fallback_fragment(prep: _Prep, ids: Sequence[str]) -> list[dict[str, object]]:
+    """One fragment on the backtracking core: the pipeline route's fallback,
+    for a static fallback reason and a row-cap degradation alike.
 
-    Conditions consumed by push-down never reach the final filter, so
-    fallback fragments, which run node-at-a-time, must apply them to their
-    pools here — otherwise rows the pipeline would have cut leak through.
-    Returns ``None`` when the fragment has nothing pushed.
+    Conditions consumed by push-down never reach the final filter, so they
+    filter their box's candidate pool here — otherwise rows the pipeline
+    would have cut leak through.
     """
     branch = prep.branch
-    overrides: dict[str, list[Element]] = {}
+    pools: dict[str, list[Element]] = {}
     for node_id in ids:
         conditions = branch.pushed.get(node_id)
-        if not conditions:
-            continue
-        pool, _ = _filtered_pool(
-            prep,
-            node_id,
-            branch.values_by_parent.get(node_id, ()),
-            conditions,
-        )
-        overrides[node_id] = pool
-    return overrides or None
+        if conditions:
+            pools[node_id], _ = _filtered_pool(
+                prep, node_id, branch.values_by_parent.get(node_id, ()), conditions
+            )
+    return list(_fragment_bindings(prep, ids, pools=pools))
 
 
 def _operand_variables(operand: Operand) -> set[str]:
@@ -1022,7 +929,7 @@ def _push_down_conditions(
     the final binding, so it filters the pool before any join.  Every box
     consumes its conditions, whatever engine its fragment runs on:
     set-at-a-time fragments filter pools in :func:`_filtered_pool`,
-    backtracking fragments through :func:`_pushdown_pools`.  Returns the
+    backtracking fragments through :func:`_fallback_fragment`.  Returns the
     per-box pushed conditions and the set of consumed condition indexes.
     """
     clusters = {
@@ -1044,11 +951,7 @@ def _push_down_conditions(
 
 
 def _setwise_fragment(
-    prep: _Prep,
-    ids: list[str],
-    edges: list[ContainmentEdge],
-    values_by_parent: dict[str, list[ContainmentEdge]],
-    pushed: dict[str, list[Condition]],
+    prep: _Prep, ids: list[str], edges: list[ContainmentEdge]
 ) -> list[dict[str, object]]:
     """Evaluate one acyclic fragment set-at-a-time.
 
@@ -1060,6 +963,7 @@ def _setwise_fragment(
     for the surviving assembled rows.
     """
     stats, index = prep.stats, prep.index
+    values_by_parent, pushed = prep.branch.values_by_parent, prep.branch.pushed
     tracer = stats.trace
     budget = stats.budget
     pools: dict[str, Sequence[int]] = {}

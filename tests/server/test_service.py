@@ -60,6 +60,20 @@ class TestQueryEndpoint:
             "name": "bib", "version": 1, "head": False,
         }
 
+    def test_stats_block_keys(self, bib_store, server_factory, client_factory):
+        # Only counters EvalStats really keeps: no constant placeholders.
+        client = client_factory(server_factory(store=bib_store))
+        payload = client.query(RECENT_QUERY, document="bib")
+        assert set(payload["stats"]) == {
+            "bindings_produced",
+            "plan_cache_hits",
+            "plan_cache_misses",
+            "truncated",
+        }
+        assert payload["stats"]["bindings_produced"] > 0
+        rows = client.batch([RECENT_QUERY])["rows"]
+        assert set(rows[0]["stats"]) == set(payload["stats"])
+
     def test_unnamed_document_shorthand(
         self, bib_store, server_factory, client_factory
     ):
