@@ -78,6 +78,13 @@ class _GraphCanon:
 
     def __init__(self, graph: QueryGraph) -> None:
         self.graph = graph
+        #: Each circle's first-drawn arc, marked ``^``: a circle drawn under
+        #: several boxes binds that arc's parent's value.
+        self._first = {
+            id(edge)
+            for child, edge in graph.first_arcs().items()
+            if not isinstance(graph.nodes[child], ElementPattern)
+        }
         self._sigs: dict[str, str] = {}
         self.mapping: dict[str, str] = {}
         self._assign_ids()
@@ -203,6 +210,7 @@ class _GraphCanon:
         parts = []
         for edge in self._child_order(node_id):
             mark = "'" if id(edge) in ordered_set else ""
+            mark += "^" if id(edge) in self._first else ""
             parts.append(
                 f"{mark}{_edge_flags(edge)}"
                 + self._render_node(edge.child, emitted)
@@ -211,8 +219,9 @@ class _GraphCanon:
         return f"{_node_sig(self.graph.nodes[node_id])}:{cid}{body}"
 
     def _render_or_edge(self, edge: ContainmentEdge, emitted: set[str]) -> str:
+        mark = "^" if id(edge) in self._first else ""
         return (
-            f"{self.mapping[edge.parent]}-{_edge_flags(edge)}->"
+            f"{self.mapping[edge.parent]}-{_edge_flags(edge)}{mark}->"
             + self._render_node(edge.child, emitted)
         )
 

@@ -21,6 +21,7 @@ proof, so skipping preserves semantics — see
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Optional
 
 from ..engine.conditions import (
@@ -28,7 +29,6 @@ from ..engine.conditions import (
     AttributeOf,
     Comparison,
     Condition,
-    ContentOf,
     NameOf,
     Operand,
     Regex,
@@ -319,11 +319,18 @@ def _aliases(rule: Rule) -> dict[ViewKey, ViewKey]:
     An attribute circle binds exactly the parent's attribute value and a
     text circle binds the parent's immediate text, so ``@year as Y`` with
     ``B.year >= 1995`` constrain the *same* value; sibling circles on one
-    element meet on one key too.
+    element meet on one key too.  A circle drawn under several boxes binds
+    its first arc's value (the matcher joins the others to it by ``=``),
+    so only that arc's parent is aliased — and none when that arc sits in
+    an or-group, where some expansions lack it.
     """
     aliases: dict[ViewKey, ViewKey] = {}
     for graph in rule.queries:
-        for edge in graph.all_edges():
+        arcs = Counter(edge.child for edge in graph.all_edges())
+        plain = {id(edge) for edge in graph.edges}
+        for edge in graph.first_arcs().values():
+            if arcs[edge.child] > 1 and id(edge) not in plain:
+                continue
             child = graph.nodes.get(edge.child)
             if isinstance(child, AttributePattern):
                 aliases[("content", child.id)] = ("attr", edge.parent, child.name)

@@ -194,7 +194,7 @@ def run_fragment(
     stats: EvalStats,
     variables: Sequence[Var],
     reason: Optional[str],
-    setwise: Optional[Callable[[], list[Any]]],
+    setwise: Callable[[], list[Any]],
     fallback: Callable[[], list[Any]],
 ) -> list[Any]:
     """Evaluate one query fragment on the pipeline or its fallback.
@@ -222,7 +222,6 @@ def run_fragment(
     ) as fragment_span:
         rows = None
         if reason is None:
-            assert setwise is not None
             stats.pipeline_fragments += 1
             rows_before = 0 if stats.budget is None else stats.budget.rows
             try:

@@ -35,8 +35,8 @@ counted separately from per-candidate trial-and-error:
 * ``relation_pairs`` — pairs materialised in binary edge relations;
 * ``pipeline_fragments`` — query fragments evaluated set-at-a-time;
 * ``pipeline_fallbacks`` — fragments handed back to the backtracking core
-  (cyclic, ordered, negated, path-edge, edge-free or multi-parent-circle
-  fragments, and ``budget`` for a row-cap degradation);
+  (cyclic, ordered, negated, path-edge or edge-free fragments, and
+  ``budget`` for a row-cap degradation);
 * ``cache_hits`` / ``cache_misses`` — shared
   :class:`~repro.engine.cache.DocumentIndexCache` lookups served from /
   missing the cache during this evaluation;

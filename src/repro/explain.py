@@ -8,8 +8,8 @@ digests the recorded span tree (:mod:`repro.engine.trace`) into an
 :class:`Explanation` that renders — as text or JSON — the cost-chosen join
 forest, every fragment's engine decision (pipeline vs. backtracking
 fallback, with the reason: ``edge-free`` / ``ordered`` / ``negated`` /
-``cyclic`` / ``multi-parent-circle``), and the candidate-pool sizes before and after
-each semi-join pass.
+``cyclic``), and the candidate-pool sizes before and after each semi-join
+pass.
 
 This is ``EXPLAIN ANALYZE``, not a dry run: the plan the pipeline chooses
 depends on actual pool sizes, so the honest report requires executing the
@@ -36,6 +36,7 @@ from .engine.options import ExecOptions
 from .engine.plan_cache import PlanCache
 from .engine.stats import EvalStats
 from .engine.trace import Span, Tracer
+from .errors import QueryStructureError
 from .ssd.model import Document
 from .xmlgl.evaluator import evaluate_rule, lookup_or_compile
 from .xmlgl.rule import Rule
@@ -370,7 +371,12 @@ def explain(
         query, sources, indexes=indexes, stats=stats, plans=plans,
         rewrite=traced.rewrite,
     )
-    query_text = source_text if source_text is not None else unparse_rule(rule)
+    try:
+        query_text = source_text or unparse_rule(rule)
+    except QueryStructureError:  # shared (DAG) nodes have no DSL form
+        from .analysis.rewrite import canonical_rule_text
+
+        query_text = canonical_rule_text(rule)
     evaluate_rule(
         rule, sources, options=traced, stats=stats, indexes=indexes, plan=plan
     )

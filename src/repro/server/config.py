@@ -80,13 +80,6 @@ class TenantConfig:
                 f"expected one of {ON_LIMIT_POLICIES}"
             )
 
-    def budget_template(self) -> Optional[QueryBudget]:
-        """The tenant-wide budget, or ``None`` when every field is unset."""
-        values = {name: getattr(self, name) for name in _BUDGET_FIELDS}
-        if all(value is None for value in values.values()):
-            return None
-        return QueryBudget(on_limit=self.on_limit, **values)
-
     def overlay(self, request: Mapping[str, Any]) -> Optional[QueryBudget]:
         """The effective budget for one request: template tightened.
 

@@ -306,9 +306,12 @@ class QuerySession:
         indexes), evaluated on a process pool so CPU-bound matching
         escapes the GIL.  The contract is the same — rows in input order,
         per-row stats/budget/errors, ``cancel`` fans out cooperatively —
-        with one restriction: tracing is unsupported (span trees cannot
+        with two restrictions: tracing is unsupported (span trees cannot
         cross the pickle boundary; requesting it raises
-        :class:`~repro.errors.ReproError`).  Worker processes use their
+        :class:`~repro.errors.ReproError`), and rules travel as DSL text,
+        so a :class:`~repro.xmlgl.rule.Rule` with a shared (DAG) node
+        raises :class:`~repro.errors.QueryStructureError`: the DSL cannot
+        express it; run such rules on threads.  Worker processes use their
         own process-local caches (reset at startup — see the fork-safety
         notes in :mod:`repro.engine.shard`), so per-row cache counters
         reflect worker-side, not session-side, cache state.

@@ -261,6 +261,16 @@ class QueryGraph:
             key=lambda e: e.position,
         )
 
+    def first_arcs(self) -> dict[str, ContainmentEdge]:
+        """Each node's first incoming arc in drawing order (lowest
+        ``position``, ties by edge order): a circle drawn under several
+        boxes binds this arc's parent's value."""
+        first: dict[str, ContainmentEdge] = {}
+        for edge in self.all_edges():
+            if first.setdefault(edge.child, edge).position > edge.position:
+                first[edge.child] = edge
+        return first
+
     def parents_of(self, node_id: str) -> list[str]:
         """Parents of ``node_id`` over plain non-negated edges."""
         return [e.parent for e in self.edges if e.child == node_id and not e.negated]

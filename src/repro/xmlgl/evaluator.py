@@ -170,20 +170,19 @@ def lookup_or_compile(
     the caller supplies ``parsed`` — rewritten under a ``rewrite`` span,
     and compiled under a ``plan.cache.compile`` span, then cached.  With
     ``rewrite=False`` the raw text digest keys the entry directly and no
-    canonical sharing happens (the returned rule is the drawn one).
+    rewrite runs.  A :class:`Rule` object's raw text is its canonical
+    text, which, unlike DSL text, can render shared (DAG) nodes.
     """
     stats = stats if stats is not None else EvalStats()
     tracer = stats.trace
     if isinstance(query, str):
-        source_text = query
+        source_text = key_text = query
     else:
-        from .unparse import unparse_rule
+        from ..analysis.rewrite import canonical_rule_text
 
-        parsed = query
-        source_text = None
-    digest = hashlib.sha256(
-        (source_text if source_text is not None else unparse_rule(parsed)).encode()
-    ).hexdigest()
+        parsed, source_text = query, None
+        key_text = canonical_rule_text(parsed)
+    digest = hashlib.sha256(key_text.encode()).hexdigest()
     cache = indexes if indexes is not None else shared_cache
     for document in (
         [sources] if isinstance(sources, Document) else sources.values()

@@ -12,10 +12,11 @@ document nodes such that
 * ordered arcs respect relative document order, and
 * every predicate annotation holds.
 
-Shared sub-nodes (the DAG case) come out naturally: a node id is assigned
-once, so two arcs pointing at it force the *same* document node — that is
-XML-GL's join.  Matching is homomorphic: two different boxes may map to the
-same element.
+Shared sub-nodes (the DAG case) are XML-GL's join: a shared box is one
+document node; a value circle under several boxes binds its first arc's
+value, and each further arc gets a private copy tied to it by ``=``, the
+value equi-join every engine already runs (:func:`_split_shared_circles`).
+Matching is homomorphic: two different boxes may map to the same element.
 
 Or-arcs are evaluated by branch expansion: one branch per or-group is
 chosen, the resulting plain graph matched, and the binding sets unioned
@@ -59,7 +60,7 @@ Three engines share this module (``ExecOptions.engine``):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import product
 from typing import Iterator, Optional, Sequence
@@ -153,7 +154,12 @@ def match(
                     produced: Iterator[Binding] = _match_pipeline(prep)
                 else:
                     produced = _match_backtracking(prep)
+                private = branch.private
                 for binding in produced:
+                    if private:
+                        binding = Binding(
+                            {k: v for k, v in binding.items() if k not in private}
+                        )
                     if multiple_branches:
                         key = binding.key()
                         if key in seen:
@@ -228,11 +234,8 @@ def _prune_unchosen(expanded: QueryGraph, had_parent: set[str]) -> None:
 class _FragmentLocals:
     """Query-only digests of one fragment, shared by every evaluation.
 
-    :func:`_fragment_bindings` used to recompute these per *call* — once
-    per fallback fragment per document, and again per degradation re-run.
     They depend only on the branch plan and the fragment's id set, so the
-    plan computes them once and caches them (satellite micro-opt, measured
-    in bench_smoke).
+    plan computes them once and caches them.
     """
 
     __slots__ = (
@@ -290,12 +293,12 @@ class _BranchPlan:
     value_edges: list[ContainmentEdge]
     negated_edges: list[ContainmentEdge]
     attr_hints: dict[str, list[str]]
-    adjacency: dict[str, list[str]]
     values_by_parent: dict[str, list[ContainmentEdge]]
     #: Non-negated circles with a constant/regex constraint, per parent box
     #: — these prefilter the box's static pool for every engine.
     constrained_circles: dict[str, list[object]]
-    multi_parent_circle: bool
+    #: Ids of the private circle copies :func:`_split_shared_circles` made.
+    private: frozenset[str]
     #: ``(ids, edges, hard_fallback_reason)`` per connected fragment.
     components: list[tuple[list[str], list[ContainmentEdge], Optional[str]]]
     pushed: dict[str, list[Condition]]
@@ -346,6 +349,8 @@ def compile_graph(graph: QueryGraph) -> CompiledGraphPlan:
 def _compile_branch(graph: QueryGraph) -> Optional[_BranchPlan]:
     """Digest one plain (or-free) graph; ``None`` when it has no boxes."""
     active = _active_nodes(graph)
+    graph, private = _split_shared_circles(graph, active)
+    active |= private
     element_ids = [n.id for n in graph.element_nodes() if n.id in active]
     if not element_ids:
         return None
@@ -375,17 +380,9 @@ def _compile_branch(graph: QueryGraph) -> Optional[_BranchPlan]:
         if isinstance(child, AttributePattern):
             attr_hints.setdefault(edge.parent, []).append(child.name)
 
-    adjacency: dict[str, list[str]] = {n: [] for n in element_ids}
-    for edge in element_edges:
-        adjacency[edge.parent].append(edge.child)
-        adjacency[edge.child].append(edge.parent)
-
     values_by_parent: dict[str, list[ContainmentEdge]] = {}
-    circle_parents: dict[str, int] = {}
     for edge in value_edges:
         values_by_parent.setdefault(edge.parent, []).append(edge)
-        circle_parents[edge.child] = circle_parents.get(edge.child, 0) + 1
-    multi_parent_circle = any(count > 1 for count in circle_parents.values())
 
     constrained_circles: dict[str, list[object]] = {}
     for edge in value_edges:
@@ -415,14 +412,44 @@ def _compile_branch(graph: QueryGraph) -> Optional[_BranchPlan]:
         value_edges=value_edges,
         negated_edges=negated_edges,
         attr_hints=attr_hints,
-        adjacency=adjacency,
         values_by_parent=values_by_parent,
         constrained_circles=constrained_circles,
-        multi_parent_circle=multi_parent_circle,
+        private=private,
         components=components,
         pushed=pushed,
         consumed=frozenset(consumed),
     )
+
+
+def _split_shared_circles(
+    graph: QueryGraph, active: set[str]
+) -> tuple[QueryGraph, frozenset[str]]:
+    """Compile every shared value circle into an equi-join.
+
+    The circle's first positive arc in drawing order keeps its id; each
+    further arc gets a private copy of the circle (same name, literal and
+    regex) tied to it by ``=``, so the join runs wherever conditions run.
+    Returns the graph unchanged when no active circle has two arcs.
+    """
+    first = graph.first_arcs()
+    nodes, renamed, conditions = dict(graph.nodes), {}, list(graph.conditions)
+    for edge in graph.edges:
+        circle = edge.child
+        if first[circle] is edge or edge.parent not in active or isinstance(
+            nodes[circle], ElementPattern
+        ):
+            continue  # a box, a circle's first arc, or a negated subtree
+        copy_id = f"{circle}#{len(nodes)}"
+        while copy_id in nodes:
+            copy_id += "#"
+        nodes[copy_id] = replace(nodes[circle], id=copy_id)
+        renamed[id(edge)] = replace(edge, child=copy_id)
+        conditions.append(Comparison("=", ContentOf(circle), ContentOf(copy_id)))
+    if not renamed:
+        return graph, frozenset()
+    edges = [renamed.get(id(e), e) for e in graph.edges]
+    split = replace(graph, nodes=nodes, edges=edges, conditions=conditions)
+    return split, frozenset(nodes.keys() - graph.nodes.keys())
 
 
 # ---------------------------------------------------------------------------
@@ -535,22 +562,6 @@ class _Prep:
     @property
     def element_ids(self) -> list[str]:
         return self.branch.element_ids
-
-    @property
-    def element_edges(self) -> list[ContainmentEdge]:
-        return self.branch.element_edges
-
-    @property
-    def value_edges(self) -> list[ContainmentEdge]:
-        return self.branch.value_edges
-
-    @property
-    def negated_edges(self) -> list[ContainmentEdge]:
-        return self.branch.negated_edges
-
-    @property
-    def adjacency(self) -> dict[str, list[str]]:
-        return self.branch.adjacency
 
 
 def _prepare(
@@ -792,20 +803,6 @@ def _match_pipeline(prep: _Prep) -> Iterator[Binding]:
     fallback; see the module docstring for the plan shape."""
     branch = prep.branch
     graph, stats = prep.graph, prep.stats
-
-    # A circle with several parent arcs resolves against each in edge
-    # order (last write wins); that interleaving is inherently
-    # tuple-at-a-time, so keep the legacy core for the whole expansion.
-    if branch.multi_parent_circle:
-        yield from run_fragment(
-            stats,
-            prep.element_ids,
-            "multi-parent-circle",
-            None,
-            lambda: list(_match_backtracking(prep)),
-        )
-        return
-
     fragments: list[tuple[set[str], list[dict[str, object]]]] = []
     for ids, edges, fallback_reason in branch.components:
         rows = run_fragment(

@@ -177,6 +177,33 @@ def test_xgl010_aliasing_attribute_circle_and_dotted_access():
     assert diagnostics_for(rule, "XGL010")
 
 
+def test_shared_circle_aliases_only_its_first_parent():
+    # K is drawn under A first, then B; it binds A's "1".  B's own circle
+    # pins B.k to "01", which is equal_atoms to "1" but fails K ~ /1/ only
+    # as a string: aliasing K onto B (or merging both views) would report
+    # a contradiction for a rule that matches.
+    from repro.ssd import parse_document
+    from repro.xmlgl.builder import collect, elem, regex
+    from repro.xmlgl.evaluator import evaluate_rule, rule_bindings
+
+    graph = QueryGraph()
+    graph.add_node(ElementPattern("A", tag="a"))
+    graph.add_node(ElementPattern("B", tag="b"))
+    graph.add_node(AttributePattern("K", "k"))
+    graph.add_node(AttributePattern("K2", "k", value="01"))
+    graph.add_edge(ContainmentEdge("A", "K", position=1))
+    graph.add_edge(ContainmentEdge("B", "K", position=2))
+    graph.add_edge(ContainmentEdge("B", "K2", position=3))
+    rule = Rule(
+        [graph], elem("r", collect("K")),
+        conditions=[regex(ContentOf("K"), "1")],
+    )
+    doc = parse_document('<r><a k="1"/><b k="01"/></r>')
+    assert diagnostics_for(rule, "XGL010") == []
+    assert len(rule_bindings(rule, doc, preflight=False)) == 1
+    assert evaluate_rule(rule, doc).text_content() == "1"
+
+
 def test_xgl010_literal_failing_its_own_regex():
     rule = parse_rule(
         "query { book as B { title as T { text = 'Logic' as X } } } "
