@@ -36,7 +36,6 @@ from ..xmlgl.construct import (
 from ..xmlgl.rule import Rule
 from .diagnostics import Diagnostic, Severity
 from .passes import AnalysisContext, register
-from .xmlgl_query import negated_only_nodes
 
 __all__ = ["construct_pass"]
 
@@ -96,7 +95,7 @@ def construct_pass(rule: Rule, context: AnalysisContext) -> list[Diagnostic]:
     bound: set[str] = set()
     negated: set[str] = set()
     for graph in rule.queries:
-        graph_negated = negated_only_nodes(graph)
+        graph_negated = graph.negated_nodes()
         bound |= set(graph.nodes) - graph_negated
         negated |= graph_negated
 

@@ -45,25 +45,11 @@ from .diagnostics import Diagnostic, Severity
 from .passes import AnalysisContext, register
 from .satisfiability import ConstraintStore, ViewKey, conjuncts, extract_conjuncts
 
-__all__ = ["structure_pass", "satisfiability_pass", "negated_only_nodes"]
+__all__ = ["structure_pass", "satisfiability_pass"]
 
 
 def _error(code: str, message: str, **kw) -> Diagnostic:
     return Diagnostic(code, Severity.ERROR, message, **kw)
-
-
-def negated_only_nodes(graph: QueryGraph) -> set[str]:
-    """Nodes reachable only inside negated subtrees — never bound."""
-    negated: set[str] = set()
-    for edge in graph.negated_edges():
-        stack = [edge.child]
-        while stack:
-            node_id = stack.pop()
-            if node_id in negated:
-                continue
-            negated.add(node_id)
-            stack.extend(e.child for e in graph.edges if e.parent == node_id)
-    return negated
 
 
 # ---------------------------------------------------------------------------
@@ -157,15 +143,7 @@ def _cycles(graph: QueryGraph) -> list[Diagnostic]:
 def _negated_sharing(graph: QueryGraph) -> list[Diagnostic]:
     """XGL004: a negated subtree node also bound by positive structure."""
     findings: list[Diagnostic] = []
-    for edge in graph.negated_edges():
-        subtree = {edge.child}
-        stack = [edge.child]
-        while stack:
-            node_id = stack.pop()
-            for sub_edge in graph.edges:
-                if sub_edge.parent == node_id and sub_edge.child not in subtree:
-                    subtree.add(sub_edge.child)
-                    stack.append(sub_edge.child)
+    for edge, subtree in graph.negated_subtrees():
         for other in graph.all_edges():
             if other is edge:
                 continue
@@ -212,13 +190,13 @@ def _condition_references(
     findings: list[Diagnostic] = []
     if graph is not None:
         scope: dict[str, object] = dict(graph.nodes)
-        negated = negated_only_nodes(graph)
+        negated = graph.negated_nodes()
         placement = "its extract graph"
     else:
         scope = all_nodes or {}
         negated = set()
         for owner in rule.queries:
-            negated |= negated_only_nodes(owner)
+            negated |= owner.negated_nodes()
         placement = "any extract graph"
     for top in conditions:
         for condition in conjuncts(top):

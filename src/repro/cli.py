@@ -345,9 +345,11 @@ def _cmd_xmlgl(args: argparse.Namespace, out) -> int:
 
 def _cmd_run(args: argparse.Namespace, out) -> int:
     import time
+    from dataclasses import replace
 
     from .engine.limits import QueryBudget
     from .engine.metrics import global_registry
+    from .engine.options import ExecOptions
     from .engine.stats import EvalStats
     from .engine.trace import Tracer
     from .errors import BudgetExceeded, QueryCancelled
@@ -366,11 +368,7 @@ def _cmd_run(args: argparse.Namespace, out) -> int:
             max_work=args.max_work,
             on_limit=args.on_limit,
         )
-    options = None
-    if args.no_rewrite:
-        from .engine.options import ExecOptions
-
-        options = ExecOptions(rewrite=False)
+    options = ExecOptions(rewrite=not args.no_rewrite)
     if args.explain:
         from .explain import explain
 
@@ -390,16 +388,15 @@ def _cmd_run(args: argparse.Namespace, out) -> int:
     if not sources:
         print("no input document given", file=sys.stderr)
         return 2
+    options = replace(options, budget=budget)
     if args.workers and args.workers > 1:
-        return _run_sharded(args, program, sources, budget, options, out)
+        return _run_sharded(args, program, sources, options, out)
     stats = EvalStats()
     if args.trace:
         stats.trace = Tracer()
     started = time.perf_counter()
     try:
-        result = evaluate_program(
-            program, sources, options=options, budget=budget, stats=stats
-        )
+        result = evaluate_program(program, sources, options=options, stats=stats)
     except (BudgetExceeded, QueryCancelled) as error:
         elapsed = time.perf_counter() - started
         global_registry.record(stats, seconds=elapsed, query=args.rule, error=True)
@@ -432,7 +429,7 @@ def _cmd_run(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def _run_sharded(args: argparse.Namespace, program, sources, budget, options, out) -> int:
+def _run_sharded(args: argparse.Namespace, program, sources, options, out) -> int:
     """The ``repro run --workers N`` arm: document sharding + merge.
 
     Splits the (single, unnamed) input document by top-level subtree,
@@ -472,7 +469,6 @@ def _run_sharded(args: argparse.Namespace, program, sources, budget, options, ou
         {f"shard{position}": piece for position, piece in enumerate(pieces)},
         shards=len(pieces),
         options=options,
-        budget=budget,
     )
     failed = next((error for error in run.errors if error is not None), None)
     if failed is not None:

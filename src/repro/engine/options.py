@@ -13,7 +13,7 @@ document matcher, the WG-Log graph matcher, the evaluators and
     Yannakakis-style semi-join reduction removes dangling candidates over
     a cost-chosen join tree, and hash joins assemble the final binding
     set.  Fragments the pipeline cannot cover — undirected cycles,
-    ordered arcs, negation, path edges, and XML-GL boxes with no
+    ordered arcs, path edges, and XML-GL boxes with no
     containment arc (nothing to semi-join) — run on the backtracking
     core *per fragment*, so one uncooperative corner of a query does not
     forfeit set-at-a-time evaluation for the rest.

@@ -19,10 +19,10 @@ cores, and Python threads cannot provide them for CPU-bound matching.
   hooks that reinitialise them — fresh locks, empty state — in forked
   children, and the pool initialiser calls :func:`reset_worker_state`
   explicitly so spawn/forkserver workers get the same guarantee.
-* **Budgets per shard.**  A :class:`~repro.engine.limits.QueryBudget` in
-  the task is armed inside the worker, so deadlines are measured from the
-  shard's own start and a tripped limit is reported as a typed error spec
-  on that shard's :class:`ShardOutcome` — sibling shards are untouched.
+* **Budgets per shard.**  The task's ``options.budget`` is armed inside
+  the worker, so deadlines are measured from the shard's own start and a
+  tripped limit is reported as a typed error spec on that shard's
+  :class:`ShardOutcome` — sibling shards are untouched.
 * **Cooperative cancellation fan-out.**  The driver's
   :class:`~repro.engine.limits.CancelToken` is bridged onto one
   ``multiprocessing.Event`` shared with every worker; worker-side
@@ -140,7 +140,6 @@ class ShardTask:
     query: str
     sources: tuple[tuple[str, str], ...]
     options: Optional[ExecOptions] = None
-    budget: Optional[QueryBudget] = None
 
 
 @dataclass(frozen=True)
@@ -282,10 +281,10 @@ def _evaluate_shard_task(task: ShardTask) -> ShardOutcome:
     # shard starts, and each shard owns its whole budget.  Cancellation is
     # polled at budget check sites, so a cancellable unbudgeted task arms
     # an empty (all-None) budget purely to carry the token.
-    effective_budget = task.budget
-    if effective_budget is None and cancel is not None:
-        effective_budget = QueryBudget()
-    arm_budget(stats, effective_budget, cancel)
+    budget = task.options.budget if task.options is not None else None
+    if budget is None and cancel is not None:
+        budget = QueryBudget()
+    arm_budget(stats, budget, cancel)
     result_text: Optional[str] = None
     error_spec: Optional[tuple[str, str, tuple]] = None
     rewrite = task.options.rewrite if task.options is not None else True
@@ -523,7 +522,6 @@ class ShardedExecutor:
         sources: Sources,
         *,
         options: Optional[ExecOptions] = None,
-        budget: Optional[QueryBudget] = None,
         cancel: Optional[CancelToken] = None,
     ) -> list[ShardOutcome]:
         """One task per query over the same sources, in input order.
@@ -541,7 +539,6 @@ class ShardedExecutor:
                 query=query,
                 sources=spec,
                 options=options,
-                budget=budget,
             )
             for position, query in enumerate(queries)
         ]
@@ -559,7 +556,6 @@ class ShardedExecutor:
         *,
         shards: Optional[int] = None,
         options: Optional[ExecOptions] = None,
-        budget: Optional[QueryBudget] = None,
         cancel: Optional[CancelToken] = None,
     ) -> CorpusRun:
         """Evaluate ``query`` against every corpus document, sharded.
@@ -598,7 +594,6 @@ class ShardedExecutor:
                         query=query,
                         sources=(("", serialized[names[position]]),),
                         options=options,
-                        budget=budget,
                     )
                     for position in group
                 )

@@ -7,8 +7,8 @@ is that surface: :func:`explain` evaluates a rule with tracing enabled and
 digests the recorded span tree (:mod:`repro.engine.trace`) into an
 :class:`Explanation` that renders — as text or JSON — the cost-chosen join
 forest, every fragment's engine decision (pipeline vs. backtracking
-fallback, with the reason: ``edge-free`` / ``ordered`` / ``negated`` /
-``cyclic``), and the candidate-pool sizes before and after each semi-join
+fallback, with the reason: ``edge-free`` / ``ordered`` / ``cyclic``),
+and the candidate-pool sizes before and after each semi-join
 pass.
 
 This is ``EXPLAIN ANALYZE``, not a dry run: the plan the pipeline chooses

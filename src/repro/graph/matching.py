@@ -79,9 +79,6 @@ class MatchSpec:
             carries a non-``None`` value.
         path_edges: set of pattern :class:`Edge` objects to be matched as
             arbitrary-length directed paths rather than single edges.
-        negated_edges: pattern edges that must **not** have a counterpart in
-            the data graph (crossed-out edges in WG-Log / XML-GL).  Both
-            endpoints must also occur in positive pattern structure.
         candidates: seeded pools.  A pattern node listed here draws its
             candidates from these data nodes only (still filtered by
             ``node_compat``) instead of scanning the whole data graph.
@@ -93,7 +90,6 @@ class MatchSpec:
     injective: bool = True
     node_compat: Optional[NodeCompat] = None
     path_edges: set[Edge] = field(default_factory=set)
-    negated_edges: set[Edge] = field(default_factory=set)
     narrow: bool = True
     candidates: dict[NodeId, Iterable[NodeId]] = field(default_factory=dict)
     edge_pairs: dict[Edge, Collection[tuple[NodeId, NodeId]]] = field(
@@ -131,9 +127,6 @@ def find_homomorphisms(
     spec = spec or MatchSpec()
     budget = None if stats is None else stats.budget
     compat = spec.node_compat or _default_compat(pattern, data)
-    positive_edges = [
-        e for e in pattern.edges() if e not in spec.negated_edges
-    ]
     pattern_nodes = list(pattern.nodes())
     if not pattern_nodes:
         yield {}
@@ -155,10 +148,10 @@ def find_homomorphisms(
         candidates[pnode] = cands
         candidate_sets[pnode] = set(cands)
 
-    # Index positive edges by endpoint for incremental checking.
+    # Index edges by endpoint for incremental checking.
     edges_by_node: dict[NodeId, list[Edge]] = {p: [] for p in pattern_nodes}
     neighbours: dict[NodeId, set[NodeId]] = {p: set() for p in pattern_nodes}
-    for edge in positive_edges:
+    for edge in pattern.edges():
         edges_by_node[edge.source].append(edge)
         edges_by_node[edge.target].append(edge)
         neighbours[edge.source].add(edge.target)
@@ -198,19 +191,6 @@ def find_homomorphisms(
             return (src, dst) in pairs
         return data.has_edge(src, dst, edge.label)
 
-    def negations_ok() -> bool:
-        for edge in spec.negated_edges:
-            src = assignment.get(edge.source)
-            dst = assignment.get(edge.target)
-            if src is None or dst is None:
-                continue
-            if edge in spec.path_edges:
-                if reaches(src, dst, edge.label):
-                    return False
-            elif data.has_edge(src, dst, edge.label):
-                return False
-        return True
-
     def candidates_for(pnode: NodeId) -> list[NodeId]:
         """Narrow candidates via already-assigned direct-edge neighbours."""
         if not spec.narrow:
@@ -241,7 +221,7 @@ def find_homomorphisms(
                 continue
             assignment[pnode] = dnode
             used.add(dnode)
-            if all(edge_ok(e) for e in edges_by_node[pnode]) and negations_ok():
+            if all(edge_ok(e) for e in edges_by_node[pnode]):
                 yield from backtrack(index + 1)
             used.discard(dnode)
             del assignment[pnode]
@@ -261,9 +241,9 @@ def find_homomorphisms_setwise(
     to candidate pools plus edge relations and evaluated through
     :func:`repro.engine.pipeline.evaluate_forest` (semi-join reduction,
     then hash joins).  Components the pipeline cannot cover — cyclic
-    skeletons, path edges, negated edges — fall back to the backtracking
-    matcher; :func:`repro.engine.pipeline.run_fragment` drives that choice
-    per component and tallies it.
+    skeletons, path edges — fall back to the backtracking matcher;
+    :func:`repro.engine.pipeline.run_fragment` drives that choice per
+    component and tallies it.
     Seeded pools (``spec.candidates``) and restricted relations
     (``spec.edge_pairs``) are honoured on both routes.
 
@@ -293,9 +273,6 @@ def find_homomorphisms_setwise(
             injective=False,
             node_compat=compat,
             path_edges={e for e in spec.path_edges if e.source in component},
-            negated_edges={
-                e for e in spec.negated_edges if e.source in component
-            },
             narrow=spec.narrow,
             candidates=spec.candidates,
             edge_pairs=spec.edge_pairs,
@@ -341,8 +318,6 @@ def _setwise_fallback_reason(
     """
     if any(e in spec.path_edges for e in edges):
         return "path-edge"
-    if any(e in spec.negated_edges for e in edges):
-        return "negated"
     if not is_forest(component, [(e.source, e.target) for e in edges]):
         return "cyclic"
     return None

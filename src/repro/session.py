@@ -422,8 +422,7 @@ class QuerySession:
         ]
         sharded = ShardedExecutor(max_workers=max_workers)
         outcomes = sharded.run_batch(
-            texts, self._sources, options=opts, budget=opts.budget,
-            cancel=cancel,
+            texts, self._sources, options=opts, cancel=cancel
         )
         # Realign by task position before pairing with ``prepared``: the
         # zip below would otherwise attach stats/errors to the wrong row

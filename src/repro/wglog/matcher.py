@@ -3,12 +3,14 @@
 The red part of a rule is matched against an instance graph via the generic
 subgraph matcher.  Two WG-Log specifics are layered on top:
 
-* **∀-negation for crossed edges.**  Following the Datalog-style safety
+* **Negation as an anti-join.**  Following the Datalog-style safety
   convention G-Log inherits, a node appearing *only* behind crossed edges is
   universally quantified inside the negation: ``idx =/=> d [index]`` with
   ``idx`` otherwise unconstrained means "no node links to d with an index
   edge" (GraphLog's root-link example).  A crossed edge between two
-  positively bound nodes is plain pairwise negation.
+  positively bound nodes is plain pairwise negation.  Either way the
+  crossed edge filters the positive core's rows: one anti-join per
+  crossed edge (:func:`_anti_join`), never a separate route.
 * **Schema checking.**  WG-Log queries are schema-based: with a schema
   supplied, red node labels must be declared entity types and red edges
   declared relations, caught *before* evaluation — the editor-level safety
@@ -123,9 +125,10 @@ def embeddings(
     pipeline (default; forest-shaped rule fragments reduce by semi-joins,
     the rest falls back per fragment), the node-at-a-time backtracking
     core, or the narrowing-free naive scan (the ablation baseline).  Each
-    ∀-negated crossed edge is one anti-join on the same engine: its
-    fragment is matched once, seeded with the boundary values the core
-    rows bind, and every core row whose boundary tuple it hits is dropped.
+    crossed edge is one anti-join on the same engine: its fragment is
+    matched once, seeded with the boundary values the core rows bind, and
+    every core row whose boundary tuple it hits is dropped.  A pairwise
+    crossed edge (both ends positively bound) has an empty fragment.
 
     ``delta`` (keyword-only) is the semi-naive hint: the instance edges
     added since this rule last matched.  Embeddings that use none of them
@@ -175,7 +178,7 @@ def embeddings(
     accessor = GraphAccessor(instance)
 
     core_ids, fragments = _split_negation(rule)
-    pattern, spec_edges = _red_pattern(rule, core_ids)
+    pattern, path_edges = _red_pattern(rule, core_ids)
     engine = options.engine
     match = (
         find_homomorphisms_setwise if engine == "pipeline" else find_homomorphisms
@@ -183,8 +186,7 @@ def embeddings(
     base = MatchSpec(
         injective=injective,
         node_compat=_compat(rule, instance),
-        path_edges=spec_edges["path"],
-        negated_edges=spec_edges["negated"],
+        path_edges=path_edges,
         narrow=engine != "naive",
     )
     results = BindingSet()
@@ -197,11 +199,10 @@ def embeddings(
             else:
                 mappings = match(pattern, instance.graph, base, stats=stats)
             for crossed, fragment in fragments:
-                if fragment:
-                    mappings = _anti_join(
-                        list(mappings), rule, instance, crossed, fragment,
-                        base, match, stats,
-                    )
+                mappings = _anti_join(
+                    list(mappings), rule, instance, crossed, fragment,
+                    base, match, stats,
+                )
             for mapping in mappings:
                 stats.candidates_tried += 1
                 if state is not None:
@@ -308,23 +309,20 @@ def _split_negation(
 
 def _red_pattern(
     rule: RuleGraph, core_ids: set[str]
-) -> tuple[LabeledGraph, dict[str, set[Edge]]]:
-    """The core red pattern as a LabeledGraph plus special edge sets."""
+) -> tuple[LabeledGraph, set[Edge]]:
+    """The positive core red pattern as a LabeledGraph plus its path edges."""
     pattern = LabeledGraph()
     for node_id in core_ids:
         node = rule.nodes[node_id]
         pattern.add_node(node_id, node.label or "*")
-    special: dict[str, set[Edge]] = {"path": set(), "negated": set()}
+    path_edges: set[Edge] = set()
     for edge in rule.red_edges():
-        if edge.source not in core_ids or edge.target not in core_ids:
+        if edge.crossed or edge.source not in core_ids or edge.target not in core_ids:
             continue
-        graph_edge = Edge(edge.source, edge.target, edge.label)
-        if edge.crossed:
-            special["negated"].add(graph_edge)
         if edge.path:
-            special["path"].add(graph_edge)
+            path_edges.add(Edge(edge.source, edge.target, edge.label))
         pattern.add_edge(edge.source, edge.target, edge.label)
-    return pattern, special
+    return pattern, path_edges
 
 
 def _compat(rule: RuleGraph, instance: InstanceGraph):
@@ -353,14 +351,16 @@ def _anti_join(
     match: Callable[..., Iterator[dict[str, NodeId]]],
     stats: EvalStats,
 ) -> list[dict[str, NodeId]]:
-    """Core rows with no embedding of one ∀-negated fragment.
+    """Core rows with no embedding of one crossed edge's fragment.
 
     Fragment nodes are exactly the red nodes that appear only behind
     crossed edges, so the fragment pattern is the crossed edge alone, made
     positive, between its far node and its bound boundary node.  It is
     matched once with the boundary pool seeded from the core rows; a row
     survives when its boundary value is not among the hits.  Injective
-    mode keeps the far node off the boundary node.
+    mode keeps the far node off the boundary node.  A pairwise crossed
+    edge has an empty fragment: both endpoints are seeded boundary nodes
+    (one, for a self-loop).
     """
     if not rows:
         return rows

@@ -254,6 +254,27 @@ class QueryGraph:
         """Crossed-out edges."""
         return [e for e in self.edges if e.negated]
 
+    def negated_subtrees(self) -> list[tuple[ContainmentEdge, set[str]]]:
+        """Each crossed arc with the ids of its subpattern: the arc's child
+        and every node below it over plain arcs (crossed ones included)."""
+        below: dict[str, list[str]] = {}
+        for edge in self.edges:
+            below.setdefault(edge.parent, []).append(edge.child)
+        subtrees = []
+        for edge in self.negated_edges():
+            subtree, stack = {edge.child}, [edge.child]
+            while stack:
+                for child in below.get(stack.pop(), ()):
+                    if child not in subtree:
+                        subtree.add(child)
+                        stack.append(child)
+            subtrees.append((edge, subtree))
+        return subtrees
+
+    def negated_nodes(self) -> set[str]:
+        """Nodes inside some crossed arc's subpattern: never bound."""
+        return set().union(*(subtree for _, subtree in self.negated_subtrees()))
+
     def children_of(self, node_id: str) -> list[ContainmentEdge]:
         """Outgoing plain edges of ``node_id``, by drawing position."""
         return sorted(
@@ -339,15 +360,7 @@ class QueryGraph:
         subpattern); what is forbidden is an arc from outside the subtree
         into it, which would make a node both positively bound and negated.
         """
-        for edge in self.negated_edges():
-            subtree = {edge.child}
-            stack = [edge.child]
-            while stack:
-                node_id = stack.pop()
-                for sub_edge in self.edges:
-                    if sub_edge.parent == node_id and sub_edge.child not in subtree:
-                        subtree.add(sub_edge.child)
-                        stack.append(sub_edge.child)
+        for edge, subtree in self.negated_subtrees():
             for other in self.all_edges():
                 if other is edge:
                     continue

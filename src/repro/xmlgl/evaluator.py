@@ -399,7 +399,9 @@ def evaluate_rule(
     under ``on_limit="raise"`` an oversized result raises
     :class:`~repro.errors.BudgetExceeded`; under ``"partial"`` it is pruned
     in document order to the cap (well-formed, every kept node retains its
-    ancestors) and flagged ``stats.extra["truncated"]``.
+    ancestors) and flagged ``stats.extra["truncated"]``.  Under
+    ``on_limit="raise"`` the deadline and cancel token are polled once more
+    after building; partial mode keeps the built result.
     """
     stats = stats if stats is not None else EvalStats()
     bindings = rule_bindings(
@@ -431,6 +433,8 @@ def evaluate_rule(
         used = _matched_indexes(rule, sources, indexes, stats) if bindings else []
         result = build(rule.construct, bindings, indexes=used)
         if state is not None:
+            if not state.budget.partial:
+                state.poll()  # the deadline covers construct too
             try:
                 state.check_result_nodes(result.size())
             except BudgetExceeded as exc:

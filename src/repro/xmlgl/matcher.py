@@ -18,6 +18,11 @@ value, and each further arc gets a private copy tied to it by ``=``, the
 value equi-join every engine already runs (:func:`_split_shared_circles`).
 Matching is homomorphic: two different boxes may map to the same element.
 
+A crossed arc depends only on its parent's binding (a nested NOT EXISTS),
+so it is a filter, not a route: on every engine, :func:`_prepare` drops
+each element of the parent box's pool under which the crossed subpattern
+has a witness, counted in ``stats.extra["antijoin_dropped"]``.
+
 Or-arcs are evaluated by branch expansion: one branch per or-group is
 chosen, the resulting plain graph matched, and the binding sets unioned
 (with duplicate elimination across branches).
@@ -43,9 +48,9 @@ Three engines share this module (``ExecOptions.engine``):
   binding set.  Value joins — ``=`` conditions linking otherwise
   disconnected fragments — become hash equi-joins instead of filtered
   cross products.  Fragments the pipeline cannot cover (undirected cycles,
-  ordered arcs, negation parents) fall back to the backtracking core *per
-  fragment* (counted in ``stats.pipeline_fallbacks``), and so do boxes
-  with no containment arc: they have nothing to semi-join.
+  ordered arcs) fall back to the backtracking core *per fragment*
+  (counted in ``stats.pipeline_fallbacks``), and so do boxes with no
+  containment arc: they have nothing to semi-join.
 * ``"backtracking"`` is the node-at-a-time core: boxes ordered with
   :func:`repro.engine.planner.plan_order`, candidates narrowed dynamically
   from already-assigned neighbours via the interval-encoded index
@@ -241,7 +246,6 @@ class _FragmentLocals:
     __slots__ = (
         "element_edges",
         "value_edges",
-        "negated_edges",
         "adjacency",
         "edges_by_endpoint",
         "ordered_groups",
@@ -253,7 +257,6 @@ class _FragmentLocals:
             e for e in branch.element_edges if e.parent in ids and e.child in ids
         ]
         self.value_edges = [e for e in branch.value_edges if e.parent in ids]
-        self.negated_edges = [e for e in branch.negated_edges if e.parent in ids]
         self.adjacency: dict[str, list[str]] = {n: [] for n in fragment_ids}
         self.edges_by_endpoint: dict[str, list[ContainmentEdge]] = {
             n: [] for n in fragment_ids
@@ -291,7 +294,9 @@ class _BranchPlan:
     element_ids: list[str]
     element_edges: list[ContainmentEdge]
     value_edges: list[ContainmentEdge]
-    negated_edges: list[ContainmentEdge]
+    #: Crossed arcs per parent box: each drops the box's pool elements
+    #: under which its subpattern has a witness, for every engine.
+    negated_by_parent: dict[str, list[ContainmentEdge]]
     attr_hints: dict[str, list[str]]
     values_by_parent: dict[str, list[ContainmentEdge]]
     #: Non-negated circles with a constant/regex constraint, per parent box
@@ -370,7 +375,10 @@ def _compile_branch(graph: QueryGraph) -> Optional[_BranchPlan]:
         and e.parent in active
         and isinstance(graph.nodes[e.child], (TextPattern, AttributePattern))
     ]
-    negated_edges = [e for e in graph.negated_edges() if e.parent in active]
+    negated_by_parent: dict[str, list[ContainmentEdge]] = {}
+    for edge in graph.negated_edges():
+        if edge.parent in active:
+            negated_by_parent.setdefault(edge.parent, []).append(edge)
 
     # attribute circles required (non-negated) below each box: their names
     # narrow the box's static candidates through the attribute index
@@ -400,9 +408,7 @@ def _compile_branch(graph: QueryGraph) -> Optional[_BranchPlan]:
             for e in element_edges
             if e.parent in component and e.child in component
         ]
-        components.append(
-            (ids, edges, _fallback_reason(negated_edges, component, edges))
-        )
+        components.append((ids, edges, _fallback_reason(component, edges)))
 
     pushed, consumed = _push_down_conditions(graph, element_ids, values_by_parent)
     return _BranchPlan(
@@ -410,7 +416,7 @@ def _compile_branch(graph: QueryGraph) -> Optional[_BranchPlan]:
         element_ids=element_ids,
         element_edges=element_edges,
         value_edges=value_edges,
-        negated_edges=negated_edges,
+        negated_by_parent=negated_by_parent,
         attr_hints=attr_hints,
         values_by_parent=values_by_parent,
         constrained_circles=constrained_circles,
@@ -458,15 +464,7 @@ def _split_shared_circles(
 
 def _check_condition_scope(graph: QueryGraph) -> None:
     """Conditions may not reach into negated subtrees."""
-    negated: set[str] = set()
-    for edge in graph.negated_edges():
-        stack = [edge.child]
-        while stack:
-            node_id = stack.pop()
-            if node_id in negated:
-                continue
-            negated.add(node_id)
-            stack.extend(e.child for e in graph.edges if e.parent == node_id)
+    negated = graph.negated_nodes()
     for condition in graph.conditions:
         overlap = condition_variables(condition) & negated
         if overlap:
@@ -476,33 +474,14 @@ def _check_condition_scope(graph: QueryGraph) -> None:
 
 
 def _active_nodes(graph: QueryGraph) -> set[str]:
-    """Nodes taking part in positive matching of this (plain) graph."""
-    active: set[str] = set()
-    incident: set[str] = set()
+    """Nodes taking part in positive matching of this (plain) graph:
+    every box outside the crossed subpatterns, and every circle under a
+    plain arc from one."""
+    active = {n.id for n in graph.element_nodes()}
     for edge in graph.edges:
-        incident.add(edge.parent)
-        if edge.negated:
-            continue
-        active.add(edge.parent)
-        active.add(edge.child)
-    for node in graph.nodes.values():
-        if isinstance(node, ElementPattern) and node.id not in incident:
-            # isolated box (or box only acting as negation parent)
-            active.add(node.id)
-    # Parents of negated edges must be matched even if otherwise isolated.
-    for edge in graph.negated_edges():
-        active.add(edge.parent)
-    # Remove nodes that are only inside negated subtrees.
-    negated_only = set()
-    for edge in graph.negated_edges():
-        stack = [edge.child]
-        while stack:
-            node_id = stack.pop()
-            if node_id in negated_only:
-                continue
-            negated_only.add(node_id)
-            stack.extend(e.child for e in graph.edges if e.parent == node_id)
-    return active - negated_only
+        if not edge.negated:
+            active.add(edge.child)
+    return active - graph.negated_nodes()
 
 
 @dataclass
@@ -599,6 +578,21 @@ def _prepare(
             if len(kept) < len(pool):
                 stats.bump("circle_prefiltered", len(pool) - len(kept))
             pool = kept
+        # A crossed arc depends on its parent's binding alone: it is a
+        # filter on the parent's pool (nested NOT EXISTS), not a route.
+        negated = branch.negated_by_parent.get(node_id)
+        if negated and pool:
+            kept = [
+                element
+                for element in pool
+                if not any(
+                    _subtree_exists(graph, edge, element, index, use_intervals, stats)
+                    for edge in negated
+                )
+            ]
+            if len(kept) < len(pool):
+                stats.bump("antijoin_dropped", len(pool) - len(kept))
+            pool = kept
         if not pool:
             return None
         static_candidates[node_id] = pool
@@ -638,9 +632,10 @@ def _fragment_bindings(
 ) -> Iterator[dict[str, object]]:
     """Backtracking enumeration of one query fragment.
 
-    Yields complete assignments for ``fragment_ids`` — ordered arcs,
-    negated arcs and value circles of the fragment resolved — as plain
-    dicts.  Rule-level conditions are *not* applied here; the pipeline
+    Yields complete assignments for ``fragment_ids`` — ordered arcs and
+    value circles of the fragment resolved — as plain dicts.  Crossed arcs
+    already filtered the pools in :func:`_prepare`.  Rule-level
+    conditions are *not* applied here; the pipeline
     applies them after fragments are combined, the backtracking engine
     right after this generator.  With ``fragment_ids`` covering every box
     this is exactly the legacy single-pass engine.  ``pools`` overrides
@@ -652,7 +647,6 @@ def _fragment_bindings(
     locals_ = prep.branch.fragment_locals(fragment_ids)
     element_edges = locals_.element_edges
     value_edges = locals_.value_edges
-    negated_edges = locals_.negated_edges
     adjacency = locals_.adjacency
     static_candidates = prep.static_candidates
     override_sets: dict[str, set[int]] = {}
@@ -785,10 +779,6 @@ def _fragment_bindings(
     for element_binding in backtrack(0):
         if not _ordered_ok(ordered_groups, element_binding, index, stats):
             continue
-        if not _negations_ok(
-            graph, negated_edges, element_binding, index, use_intervals, stats
-        ):
-            continue
         yield from _resolve_value_patterns(
             graph, value_edges, element_binding, stats
         )
@@ -859,14 +849,12 @@ def _match_pipeline(prep: _Prep) -> Iterator[Binding]:
 
 
 def _fallback_reason(
-    negated_edges: list[ContainmentEdge],
-    component: set[str],
-    edges: list[ContainmentEdge],
+    component: set[str], edges: list[ContainmentEdge]
 ) -> Optional[str]:
     """Why one fragment cannot run on the semi-join pipeline (or ``None``).
 
-    Ordered arcs (an n-ary constraint over siblings), negation parents and
-    cyclic / multi-edge skeletons stay on the backtracking core.  So does
+    Ordered arcs (an n-ary constraint over siblings) and cyclic /
+    multi-edge skeletons stay on the backtracking core.  So does
     a box with no containment arc (``edge-free``): with nothing to
     semi-join, a set-at-a-time run would only turn the pool into a label
     column and straight back into elements.  The rule reads the query
@@ -876,8 +864,6 @@ def _fallback_reason(
     """
     if any(e.ordered for e in edges):
         return "ordered"
-    if any(e.parent in component for e in negated_edges):
-        return "negated"
     if not edges:
         return "edge-free"
     if not is_forest(component, [(e.parent, e.child) for e in edges]):
@@ -1310,23 +1296,6 @@ def _value_of(node, parent: Element) -> Optional[str]:
     if node.compiled_regex is not None and node.compiled_regex.fullmatch(value) is None:
         return None
     return value
-
-
-def _negations_ok(
-    graph: QueryGraph,
-    negated_edges: list[ContainmentEdge],
-    element_binding: dict[str, Element],
-    index: DocumentIndex,
-    use_intervals: bool,
-    stats: EvalStats,
-) -> bool:
-    for edge in negated_edges:
-        parent = element_binding.get(edge.parent)
-        if parent is None:
-            continue
-        if _subtree_exists(graph, edge, parent, index, use_intervals, stats):
-            return False
-    return True
 
 
 def _subtree_exists(

@@ -228,7 +228,7 @@ class TestTaskSpecs:
             position=0,
             query=ALL_BOOKS,
             sources=serialize_sources(BIB),
-            budget=QueryBudget(max_bindings=1),
+            options=ExecOptions(budget=QueryBudget(max_bindings=1)),
         )
         outcome = _evaluate_shard_task(task)
         assert outcome.result is None
@@ -270,6 +270,16 @@ class TestProcessExecution:
         assert isinstance(rows[1].error, BudgetExceeded)
         assert rows[1].error.limit == "max_bindings"
         assert rows[1].result is None
+
+    def test_options_budget_holds_with_a_cancel_token(self):
+        # The token must ride on the caller's budget, not replace it.
+        outcomes = ShardedExecutor(max_workers=1).run_batch(
+            [ALL_BOOKS], BIB,
+            options=ExecOptions(budget=QueryBudget(max_bindings=1)),
+            cancel=CancelToken(),
+        )
+        assert outcomes[0].error is not None
+        assert outcomes[0].error[0] == "BudgetExceeded"
 
     def test_cancellation_fans_out_to_every_row(self):
         cancel = CancelToken()
@@ -323,7 +333,8 @@ class TestProcessExecution:
             "big": parse_document("<bib>" + "<book/>" * 40 + "</bib>"),
         }
         run = ShardedExecutor(max_workers=2).map_corpus(
-            ALL_BOOKS, corpus, shards=2, budget=QueryBudget(max_bindings=5)
+            ALL_BOOKS, corpus, shards=2,
+            options=ExecOptions(budget=QueryBudget(max_bindings=5)),
         )
         assert run.errors[0] is None
         assert isinstance(run.errors[1], BudgetExceeded)

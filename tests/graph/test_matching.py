@@ -138,31 +138,6 @@ class TestPathEdges:
         assert pairs == {(1, 2), (2, 1), (1, 1), (2, 2)}
 
 
-class TestNegation:
-    def test_negated_edge_filters(self):
-        # pages with no outgoing link to an index node
-        data = site_graph()
-        pattern = build(
-            [("p", "page"), ("i", "index")], [("p", "i", "link")]
-        )
-        spec = MatchSpec(negated_edges={Edge("p", "i", "link")})
-        matches = {m["p"] for m in find_homomorphisms(pattern, data, spec)}
-        assert matches == {"home", "prod"}
-
-    def test_negated_path_edge(self):
-        data = build([(1, "n"), (2, "n"), (3, "n")], [(1, 2, "e")])
-        pattern = build([("a", "n"), ("b", "n")], [("a", "b", "e")])
-        spec = MatchSpec(
-            negated_edges={Edge("a", "b", "e")},
-            path_edges={Edge("a", "b", "e")},
-        )
-        pairs = {
-            (m["a"], m["b"]) for m in find_homomorphisms(pattern, data, spec)
-        }
-        assert (1, 2) not in pairs
-        assert (3, 1) in pairs
-
-
 class TestNarrowingToggle:
     def test_same_results_with_and_without_narrowing(self):
         import random

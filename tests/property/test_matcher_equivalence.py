@@ -9,8 +9,8 @@ differential oracle: it touches neither the interval encoding nor the join
 pipeline, so agreement here is the correctness argument for both.
 
 The query generator deliberately produces the shapes that stress the
-pipeline's fragment logic: negated and ordered arcs (per-fragment
-fallback), or-groups (branch expansion before engine dispatch), DAG
+pipeline's fragment logic: ordered arcs (per-fragment fallback), negated
+arcs (a filter on their parent box's pool), or-groups (branch expansion before engine dispatch), DAG
 edges between existing boxes (cyclic skeletons → fallback), detached
 boxes (cross products), and value equi-join conditions linking detached
 fragments (hash equi-joins).
@@ -251,8 +251,9 @@ def test_all_engine_configs_agree(seed):
 
 @pytest.mark.parametrize("seed", range(200, 230))
 def test_fallback_fragments_agree(seed):
-    """Shapes that force the pipeline's per-fragment fallback: a negated
-    arc plus an ordered pair on one parent, alongside a coverable chain."""
+    """Shapes that force the pipeline's per-fragment fallback: an ordered
+    pair on a parent that also crosses out an arc, alongside a coverable
+    chain."""
     rng = random.Random(seed)
     document = random_document(rng)
     graph = QueryGraph()

@@ -4,9 +4,9 @@ Two layers, mirroring how the pipeline is wired in:
 
 * **Graph level** — hypothesis-driven: for random patterns, random data
   graphs and random :class:`MatchSpec` decorations (injective flag, path
-  edges, negated edges), ``find_homomorphisms_setwise`` must produce the
-  exact mapping multiset of ``find_homomorphisms``.  Path/negated
-  components exercise the fallback routes, plain forest components the
+  edges), ``find_homomorphisms_setwise`` must produce the exact mapping
+  multiset of ``find_homomorphisms``.  Path-edge components exercise the
+  fallback route, plain forest components the
   semi-join route, and injective specs the row filter over either.
 
 * **WG-Log rule level** — seeded random instance graphs run hand-built
@@ -16,8 +16,9 @@ Two layers, mirroring how the pipeline is wired in:
 
 * **Anti-join and injective routes** — rules whose crossed edges run as
   anti-joins (a far node under two crossed edges, a crossed path edge, a
-  wildcard far node) and an injective rule over self-links, on every
-  engine, against a brute-force reading of G-Log's definition.
+  wildcard far node, pairwise direct, path and self-loop edges) and an
+  injective rule over self-links, on every engine, against a brute-force
+  reading of G-Log's definition.
 """
 
 import random
@@ -63,9 +64,9 @@ def graphs(draw, max_nodes: int = 6, max_edges: int = 8):
 def patterns_with_specs(draw, max_nodes: int = 4):
     """A random pattern plus a random spec over its edges.
 
-    Each edge is independently plain, a path edge or a negated edge, so
-    cases cover pure-forest components (semi-join route), components with
-    special edges (fallback route) and mixtures of both.
+    Each edge is independently plain or a path edge, so cases cover
+    pure-forest components (semi-join route), components with path edges
+    (fallback route) and mixtures of both.
     """
     g = LabeledGraph()
     count = draw(st.integers(1, max_nodes))
@@ -77,19 +78,14 @@ def patterns_with_specs(draw, max_nodes: int = 4):
             f"v{draw(st.integers(0, count - 1))}",
             draw(st.sampled_from(EDGE_LABELS)),
         )
-    path_edges, negated_edges = set(), set()
+    path_edges = set()
     for edge in g.edges():
-        role = draw(
-            st.sampled_from(["plain", "plain", "plain", "path", "negated"])
-        )
+        role = draw(st.sampled_from(["plain", "plain", "plain", "path"]))
         if role == "path":
             path_edges.add(edge)
-        elif role == "negated":
-            negated_edges.add(edge)
     spec = MatchSpec(
         injective=draw(st.booleans()),
         path_edges=path_edges,
-        negated_edges=negated_edges,
         narrow=draw(st.booleans()),
     )
     return g, spec
@@ -245,8 +241,9 @@ def test_wglog_engines_agree(rule_text, seed):
 
 # -- anti-join and injective routes against the definition -------------------------
 
-#: Rules whose ∀-negation runs as one anti-join per crossed fragment, or
-#: whose injectivity is a row filter over homomorphism rows.
+#: Rules whose crossed edges run as one anti-join each (∀-negated
+#: fragments and pairwise edges alike), or whose injectivity is a row
+#: filter over homomorphism rows.
 ANTI_JOIN_RULES = [
     # one far node under two crossed edges: each is its own ∀-negation
     "rule r { match { d: Doc  no i -index-> d  no i -link-> d }"
@@ -259,6 +256,12 @@ ANTI_JOIN_RULES = [
     # a wildcard far node: no entity of any type links to d
     "rule r { match { d: Page  i: *  no i -link-> d }"
     " construct { d.seen = 'y' } }",
+    # pairwise: both ends positively bound, an anti-join with no fragment
+    "rule r { match { a: Doc  b: *  a -link-> b  no b -index-> a } }",
+    # a pairwise crossed path edge: b must not reach a through links
+    "rule r { match { a: Doc  b: *  a -link-> b  no b -link*-> a } }",
+    # a pairwise crossed self-loop: a must not index itself
+    "rule r { match { a: *  b: Page  a -link-> b  no a -index-> a } }",
 ]
 
 

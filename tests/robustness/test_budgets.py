@@ -42,24 +42,55 @@ class TestBudgetValidation:
 class TestDeadline:
     def test_deadline_trips_promptly_with_partial_stats(self, big_doc, indexes):
         rule = parse_rule(JOIN_RULE)
+        # A quarter of what the same evaluation takes unbudgeted, on a
+        # fresh cache like the run below: far from a coin flip on any host.
+        started = time.perf_counter()
+        evaluate_rule(rule, big_doc, indexes=DocumentIndexCache())
+        deadline = max(1, int((time.perf_counter() - started) * 1000.0 / 4))
         stats = EvalStats()
         started = time.perf_counter()
         with pytest.raises(DeadlineExceeded) as info:
             evaluate_rule(
-                rule, big_doc, budget=QueryBudget(deadline_ms=25),
+                rule, big_doc, budget=QueryBudget(deadline_ms=deadline),
                 stats=stats, indexes=indexes,
             )
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         exc = info.value
         assert exc.limit == "deadline_ms"
-        assert exc.allowed == 25
-        assert exc.spent >= 25
+        assert exc.allowed == deadline
+        assert exc.spent >= deadline
         # The partial stats ride on the error: work was done, then stopped.
         assert exc.stats is stats
         assert stats.extra.get("budget_exceeded") == 1
         # Cooperative checks are strided, not per-instruction: generous
         # bound, but far below an unbudgeted run-away.
         assert elapsed_ms < 2000
+
+    def test_deadline_covers_construct(self, doc, indexes, monkeypatch):
+        from repro.xmlgl import evaluator
+
+        rule = parse_rule(CHAIN_RULE)
+        expected = evaluate_rule(rule, doc, indexes=indexes)
+        real_build = evaluator.build
+
+        def slow_build(*args, **kwargs):
+            time.sleep(0.05)
+            return real_build(*args, **kwargs)
+
+        monkeypatch.setattr(evaluator, "build", slow_build)
+        with pytest.raises(DeadlineExceeded):
+            evaluate_rule(
+                rule, doc, budget=QueryBudget(deadline_ms=10), indexes=indexes
+            )
+        # Partial mode keeps what construct built, unflagged: no limit cut
+        # the result short.
+        stats = EvalStats()
+        result = evaluate_rule(
+            rule, doc, budget=QueryBudget(deadline_ms=10, on_limit="partial"),
+            stats=stats, indexes=indexes,
+        )
+        assert result.equals(expected)
+        assert not stats.extra.get("truncated")
 
     def test_deadline_is_a_budget_error(self):
         assert issubclass(DeadlineExceeded, BudgetExceeded)

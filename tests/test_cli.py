@@ -297,6 +297,17 @@ class TestExplainCommand:
         assert "plan: " in output
         assert "join forest" in output
 
+    def test_shipped_negation_example_runs_on_the_pipeline(self):
+        # a crossed arc filters its parent's pool: no fragment falls back
+        import json
+
+        status, output = run(
+            ["explain", "examples/fig_q5_negation.xgl", "--format", "json"]
+        )
+        assert status == 0
+        fragments = json.loads(output)["graphs"][0]["fragments"]
+        assert [f["decision"] for f in fragments] == ["pipeline"]
+
     def test_missing_file(self):
         status, _ = run(["explain", "/nonexistent.xgl"])
         assert status == 2
