@@ -153,10 +153,17 @@ class DocumentIndexCache:
         can fire on any thread — including re-entrantly on a thread that
         already holds ``_lock`` (a GC run inside a locked section) — so it
         only tries the lock without blocking and defers to
-        ``_pending_drops`` when the lock is busy.
+        ``_pending_drops`` when the lock is busy.  It holds the cache
+        weakly: a strong reference would make every cache with an entry a
+        reference cycle, so a dropped cache and its indexes would wait
+        for a full garbage collection instead of going at once.
         """
+        cache_ref = weakref.ref(self)
 
         def _dropped(ref: weakref.ref) -> None:
+            self = cache_ref()
+            if self is None:
+                return
             if self._lock.acquire(blocking=False):
                 try:
                     self._drop_if_current(key, ref)

@@ -15,10 +15,12 @@ makes them *live*:
   (gap-label splices and pool updates — see :mod:`repro.engine.index`),
 * every committed batch advances the document's monotonically increasing
   ``doc_revision`` (tracked per document object, index or not) and reports
-  a :class:`TouchedRegion` — the label intervals, tags, attribute names and
+  a :class:`TouchedRegion` — the tags, attribute names and
   value-sensitivity of the edit — which is what the subscription layer
   (:mod:`repro.engine.subscribe`) intersects with each registered query's
-  footprint to decide whether a re-evaluation can be skipped outright.
+  footprint to decide whether a re-evaluation can be skipped outright —
+  and the edited nodes themselves, from which it derives the label
+  ranges a delta re-evaluation is cut to.
 
 Compiled plans depend only on the query graph, so no mutation touches the
 plan cache.  Mutation is not thread-safe against concurrent readers of the same
@@ -167,22 +169,32 @@ class MutationBatch:
 class TouchedRegion:
     """What one committed batch touched, for subscription filtering.
 
-    ``intervals`` are gap-label ``(pre, post)`` ranges of the edited
-    subtrees (empty when no index was maintained); ``tags`` and
-    ``attributes`` cover every inserted/deleted node and edited attribute;
+    ``tags`` and ``attributes`` cover every inserted/deleted node and
+    edited attribute;
     ``ancestor_tags`` the tags on the parent chains above the edit points
     (conditions read *recursive* text content, so a value edit can change
     what an ancestor-tag box observes); ``values_changed`` is set by value
     rewrites *and* structural edits (an inserted/deleted subtree changes
     every ancestor's text content).
+
+    The element fields name the edited nodes, so a reader can label them
+    in whatever index it holds after the commit (labels recorded mid-batch
+    go stale when a later op relabels): ``inserted`` and ``deleted`` are
+    the roots of inserted and deleted subtrees, ``edit_points`` the
+    elements whose subtree an op changed (an insert's or delete's parent,
+    a value or attribute edit's target), ``changed`` the elements whose
+    immediate text or attributes an op rewrote.
     """
 
-    intervals: tuple = ()
     tags: frozenset = frozenset()
     attributes: frozenset = frozenset()
     ancestor_tags: frozenset = frozenset()
     values_changed: bool = False
     structural: bool = False
+    inserted: tuple = ()
+    deleted: tuple = ()
+    edit_points: tuple = ()
+    changed: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -329,7 +341,6 @@ def apply_batch(
     else:
         maintained = [index for index in indexes if index is not None]
 
-    intervals: list[tuple[int, int]] = []
     tags: set[str] = set()
     attributes: set[str] = set()
     ancestor_tags: set[str] = set()
@@ -337,12 +348,17 @@ def apply_batch(
     structural = False
     nodes_added = 0
     nodes_removed = 0
-    lead = maintained[0] if maintained else None
+    inserted: list[Element] = []
+    deleted: list[Element] = []
+    edit_points: list[Element] = []
+    changed: list[Element] = []
 
     for op in batch:
         anchor = op.parent if isinstance(op, InsertSubtree) else op.target
         ancestor_tags.update(anc.tag for anc in anchor.ancestors())
         if isinstance(op, InsertSubtree):
+            inserted.append(op.subtree)
+            edit_points.append(op.parent)
             ancestor_tags.add(op.parent.tag)
             structural = True
             values_changed = True
@@ -354,26 +370,24 @@ def apply_batch(
             for index in maintained:
                 nodes = index.note_insert(op.parent, op.subtree)
             nodes_added += op.subtree.size() if not maintained else nodes
-            if lead is not None:
-                intervals.append(lead.interval(op.subtree))
         elif isinstance(op, DeleteSubtree):
             structural = True
             values_changed = True
             _subtree_tags_and_attrs(op.target, tags, attributes)
-            if lead is not None:
-                intervals.append(lead.interval(op.target))
             removed = 0
             for index in maintained:
                 removed = index.note_delete(op.target)
             parent = op.target.parent
             assert isinstance(parent, Element)
+            deleted.append(op.target)
+            edit_points.append(parent)
             parent.remove(op.target)
             nodes_removed += removed if maintained else op.target.size()
         elif isinstance(op, UpdateValue):
             values_changed = True
             tags.add(op.target.tag)
-            if lead is not None:
-                intervals.append(lead.interval(op.target))
+            changed.append(op.target)
+            edit_points.append(op.target)
             kept = [
                 child
                 for child in op.target.children
@@ -390,8 +404,8 @@ def apply_batch(
         else:  # UpdateAttribute
             attributes.add(op.name)
             tags.add(op.target.tag)
-            if lead is not None:
-                intervals.append(lead.interval(op.target))
+            changed.append(op.target)
+            edit_points.append(op.target)
             old = op.target.attributes.get(op.name)
             if op.value is None:
                 op.target.attributes.pop(op.name, None)
@@ -411,12 +425,15 @@ def apply_batch(
         applied=len(batch),
         structural=structural,
         touched=TouchedRegion(
-            intervals=tuple(intervals),
             tags=frozenset(tags),
             attributes=frozenset(attributes),
             ancestor_tags=frozenset(ancestor_tags),
             values_changed=values_changed,
             structural=structural,
+            inserted=tuple(inserted),
+            deleted=tuple(deleted),
+            edit_points=tuple(edit_points),
+            changed=tuple(changed),
         ),
         nodes_added=nodes_added,
         nodes_removed=nodes_removed,

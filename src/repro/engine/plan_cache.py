@@ -5,7 +5,7 @@ classification, fragment discovery, condition pushdown — see
 :func:`repro.xmlgl.matcher.compile_graph`) are document-independent, so a
 query evaluated twice over unchanged documents repeats that analysis for
 nothing.  :class:`PlanCache` memoises the fully analysed plan, keyed by
-the SHA-256 digest of the query's **canonical rewritten form**
+the query's **canonical rewritten form**
 (:func:`repro.analysis.rewrite.canonical_rule_text`).  A compiled plan
 depends only on the query graph — never on a document or its index — so
 the key carries nothing else and document mutations never invalidate an
@@ -13,7 +13,7 @@ entry.  Entries age out of the LRU.
 
 Because computing the canonical key itself requires a parse and a rewrite
 pass, a second, much cheaper **alias map** sits in front of the entries:
-it maps the digest of the raw query *text* to the canonical
+it maps the raw query *text* to the canonical
 key it resolved to last time.  A warm repeat of the identical text
 resolves through the alias without parsing; a *different* text with the
 same meaning parses once, lands on the same canonical key, and then

@@ -227,8 +227,11 @@ def _binding_payload(binding: Binding) -> dict[str, Any]:
 
 
 def _delta_payload(delta: ResultDelta) -> dict[str, Any]:
+    """One delta on the wire; ``resync`` tells the consumer to drop the
+    rows it holds and take ``added`` as the whole current row set."""
     return {
         "revision": delta.revision,
+        "resync": delta.resync,
         "added": [_binding_payload(binding) for binding in delta.added],
         "removed": [_binding_payload(binding) for binding in delta.removed],
     }
@@ -840,6 +843,8 @@ class QueryService:
         Only the drain is admission-gated — a parked long-poll must not
         consume the tenant's concurrency slot while it sleeps, so the
         wait itself runs before admission and the (cheap) drain after.
+        A subscription that a failed re-evaluation closed reports the
+        failure under ``error``.
         """
         entry = self._subscription(subscription_id)
         gate = self._tenant(entry.tenant)
@@ -861,14 +866,16 @@ class QueryService:
             return entry.subscription.poll()
 
         deltas = await self._admit_and_run(gate, work)
-        return json_response(
-            {
-                "id": entry.subscription.id,
-                "revision": entry.subscription.last_revision,
-                "closed": entry.subscription.closed,
-                "deltas": [_delta_payload(delta) for delta in deltas],
-            }
-        )
+        payload = {
+            "id": entry.subscription.id,
+            "revision": entry.subscription.last_revision,
+            "closed": entry.subscription.closed,
+            "deltas": [_delta_payload(delta) for delta in deltas],
+        }
+        error = entry.subscription.error
+        if error is not None:
+            payload["error"] = {"type": type(error).__name__, "message": str(error)}
+        return json_response(payload)
 
     async def _handle_unsubscribe(
         self, request: Request, subscription_id: str

@@ -8,8 +8,11 @@ seconds, that the whole serving stack holds together in one process:
 3. poll ``/healthz`` until live,
 4. register a prepared query and run it through the Python client,
 5. verify the result matches a direct :meth:`QuerySession.run`,
-6. with ``--subscriptions``: subscribe a continuous query, mutate the
-   document through the typed endpoint, and long-poll the delta,
+6. with ``--subscriptions``: subscribe two continuous queries, commit an
+   entry insert, a value edit and an entry delete through the typed
+   endpoint, long-poll the deltas, and check that each subscription's
+   initial rows plus its deltas equal a fresh evaluation of its query
+   over a local copy that took the same edits,
 7. shut down cleanly and assert **zero leaked threads** — the executor
    and the event-loop thread must both be gone.
 
@@ -38,6 +41,49 @@ SMOKE_QUERY = (
 SMOKE_WATCH_QUERY = (
     "query { book as B { @year as Y } } construct { hits { B } }"
 )
+
+SMOKE_TEXT_QUERY = (
+    "query { book as B { title as T { text as V } } } construct { hits { B } }"
+)
+
+
+def _scalars(row: dict) -> tuple:
+    """A wire row's circle values: what identifies it across edits (an
+    element's XML is serialized when the delta is drained, so it shows
+    the element as it is then, not as it was when the row changed)."""
+    return tuple(sorted(
+        (variable, cell["value"])
+        for variable, cell in row.items()
+        if cell["kind"] == "value"
+    ))
+
+
+def _fresh_rows(query: str, document) -> "Counter[tuple]":
+    """A from-scratch evaluation of ``query``, as wire rows."""
+    from collections import Counter
+
+    from ..engine.cache import DocumentIndexCache
+    from ..xmlgl.dsl import parse_rule
+    from ..xmlgl.evaluator import rule_bindings
+    from .service import _binding_payload
+
+    bindings = rule_bindings(
+        parse_rule(query), document, indexes=DocumentIndexCache()
+    )
+    return Counter(_scalars(_binding_payload(binding)) for binding in bindings)
+
+
+def _replay(rows: "Counter[tuple]", deltas: list) -> None:
+    """Apply drained wire deltas to ``rows`` in place."""
+    for delta in deltas:
+        if delta["resync"]:
+            rows.clear()
+        for row in delta["removed"]:
+            rows[_scalars(row)] -= 1
+        for row in delta["added"]:
+            rows[_scalars(row)] += 1
+    for key in [key for key, count in rows.items() if count == 0]:
+        del rows[key]
 
 
 def run_smoke(verbose: bool = True, subscriptions: bool = False) -> None:
@@ -101,37 +147,59 @@ def run_smoke(verbose: bool = True, subscriptions: bool = False) -> None:
         say("metrics consistent")
 
         if subscriptions:
-            sub = client.subscribe(
-                SMOKE_WATCH_QUERY, document="bib", tenant="smoke"
-            )
-            assert sub["rows"] == 2, sub
-            say(f"subscribed {sub['id']} ({sub['rows']} initial rows)")
-            committed = client.mutate(
-                "bib",
-                [{
-                    "op": "insert",
-                    "parent": [],
-                    "xml": "<book year='2002'><title>SSD</title></book>",
-                    "index": 2,
-                }],
-                tenant="smoke",
-            )
-            assert committed["applied"] == 1 and committed["structural"], committed
-            drained = client.deltas(sub["id"], timeout_s=5.0)
-            assert len(drained["deltas"]) == 1, drained
-            delta = drained["deltas"][0]
+            from ..engine.mutate import apply_batch, ops_from_spec
+
+            mirror = parse_document(SMOKE_XML)
+            queries = (SMOKE_WATCH_QUERY, SMOKE_TEXT_QUERY)
+            subs = [
+                client.subscribe(query, document="bib", tenant="smoke")
+                for query in queries
+            ]
+            replayed = [_fresh_rows(query, mirror) for query in queries]
+            assert subs[0]["rows"] == 2, subs[0]
+            say(f"subscribed {subs[0]['id']} ({subs[0]['rows']} initial rows)")
+
+            def commit(spec: list, woken: tuple) -> list:
+                """Commit ``spec`` on the server and the mirror; drain
+                each subscription (long-polling those ``woken``)."""
+                committed = client.mutate("bib", spec, tenant="smoke")
+                assert committed["applied"] == len(spec), committed
+                apply_batch(mirror, ops_from_spec(mirror, spec))
+                drained = []
+                for position, sub in enumerate(subs):
+                    deltas = client.deltas(
+                        sub["id"], timeout_s=5.0 if position in woken else 0.0
+                    )["deltas"]
+                    _replay(replayed[position], deltas)
+                    drained.append(deltas)
+                return drained
+
+            drained = commit([{
+                "op": "insert",
+                "parent": [],
+                "xml": "<book year='2002'><title>SSD</title></book>",
+                "index": 2,
+            }], woken=(0, 1))
+            assert len(drained[0]) == 1, drained
+            delta = drained[0][0]
             assert len(delta["added"]) == 1 and not delta["removed"], delta
             say(f"delta delivered at revision {delta['revision']}")
-            # A mutation the query's footprint does not cover must not wake it.
-            client.mutate(
-                "bib",
+            # A mutation the query's footprint does not cover must not
+            # wake it; the text-reading subscription sees the edit.
+            drained = commit(
                 [{"op": "update_value", "target": [0, 0], "value": "DBs"}],
-                tenant="smoke",
+                woken=(1,),
             )
-            drained = client.deltas(sub["id"])
-            assert drained["deltas"] == [], drained
-            client.unsubscribe(sub["id"])
-            say("irrelevant mutation skipped; unsubscribed")
+            assert drained[0] == [] and len(drained[1]) == 1, drained
+            say("irrelevant mutation skipped; value edit delivered")
+            drained = commit([{"op": "delete", "target": [1]}], woken=(0, 1))
+            assert all(len(deltas) == 1 for deltas in drained), drained
+            for query, rows in zip(queries, replayed):
+                fresh = _fresh_rows(query, mirror)
+                assert rows == fresh, (query, rows, fresh)
+            for sub in subs:
+                client.unsubscribe(sub["id"])
+            say("initial rows plus deltas equal a fresh evaluation; unsubscribed")
 
         client.shutdown()
     finally:

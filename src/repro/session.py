@@ -113,7 +113,7 @@ class QuerySession:
         # several sessions into the process-wide aggregate.
         self._metrics = metrics if metrics is not None else MetricsRegistry()
         # Compiled plans likewise default to the process-wide cache: the
-        # key is the query digest alone, so sharing across sessions is
+        # key is the query text alone, so sharing across sessions is
         # safe; pass a private PlanCache to isolate.
         self._plans = plans if plans is not None else shared_plans
         self._cycles: list[QueryCycle] = []
@@ -504,8 +504,16 @@ class QuerySession:
         :class:`~repro.engine.index.DocumentIndex` is maintained *in
         place* (no invalidation, no rebuild), and committed under a new
         ``doc_revision``.  Every active subscription is then notified —
-        those whose footprint intersects the batch re-evaluate and queue a
-        :class:`~repro.engine.subscribe.ResultDelta`; the rest skip.
+        those whose footprint intersects the batch re-evaluate the rows
+        the batch can change (the delta rule; ordered arcs and
+        multi-graph rules re-run in full, counted as
+        ``delta_fallback_<reason>``) and queue a
+        :class:`~repro.engine.subscribe.ResultDelta` (past
+        :data:`~repro.engine.subscribe.MAX_PENDING` queued, one
+        ``resync`` delta); the rest skip.  A subscription whose
+        re-evaluation raises is closed with the exception on its
+        ``error``; the others are still notified and the result is
+        returned.
 
         ``source`` names the document in a multi-document session;
         omit it for single-document sessions.
@@ -531,8 +539,10 @@ class QuerySession:
 
         The subscription evaluates eagerly (its
         :meth:`~repro.engine.subscribe.Subscription.rows` are live
-        immediately) and is re-run by :meth:`mutate` commits whose touched
-        region intersects the query's static footprint; drain changes with
+        immediately) and is re-evaluated by :meth:`mutate` commits whose
+        touched region intersects the query's static footprint — by the
+        delta rule, over only the rows the commit can change, or in full
+        for ordered arcs and multi-graph rules; drain changes with
         :meth:`~repro.engine.subscribe.Subscription.poll` or block on
         :meth:`~repro.engine.subscribe.Subscription.wait`.  ``options``
         takes the same :class:`ExecOptions` bundle as :meth:`run` and

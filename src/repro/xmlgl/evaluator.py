@@ -8,7 +8,7 @@ Repeated queries skip the front half entirely: :func:`lookup_or_compile`
 keys a :class:`~repro.engine.plan_cache.CompiledPlan` — the parsed rule,
 its static-preflight verdict and one compiled
 :class:`~repro.xmlgl.matcher.CompiledGraphPlan` per extract graph — by the
-query text's digest (plans never depend on a document), and
+query text (plans never depend on a document), and
 :func:`rule_bindings` / :func:`evaluate_rule` accept the cached plan via
 ``plan=`` so parse, validation, preflight and graph analysis all amortise
 to one execution.
@@ -16,7 +16,6 @@ to one execution.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import replace
 from typing import Mapping, Optional, Union
 
@@ -68,6 +67,17 @@ def _resolve_source(graph: QueryGraph, sources: Sources) -> Document:
         return sources[graph.source]
     except KeyError:
         raise EvaluationError(f"unknown source document {graph.source!r}")
+
+
+def _trace_label(text: str) -> str:
+    """The short digest naming a plan-cache key in trace events.
+
+    Only traced runs compute it: the keys themselves are the texts, so an
+    untraced process never loads a hashing library for them.
+    """
+    import hashlib
+
+    return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
 def _note_rewrite(stats: EvalStats, report: object) -> None:
@@ -152,14 +162,14 @@ def lookup_or_compile(
 ) -> tuple[Rule, Optional[str], CompiledPlan]:
     """The plan-cache front door: ``(rule, source_text, compiled plan)``.
 
-    Plans are stored under the digest of the query's **canonical rewritten
-    form** (:func:`repro.analysis.rewrite.canonical_rule_text`) alone — a
+    Plans are stored under the query's **canonical rewritten form**
+    (:func:`repro.analysis.rewrite.canonical_rule_text`) alone — a
     compiled plan depends only on the query graph, never on a document —
     so two textually different but semantically equal queries share one
     compiled plan, and a plan stays valid across document mutations.  A
-    cheap alias map keyed by the raw text's digest fronts the canonical
+    cheap alias map keyed by the raw text fronts the canonical
     entries: a warm repeat of the *identical* text resolves without
-    parsing at all.
+    parsing at all.  Trace events name a key by a short digest of it.
     Indexes are resolved through ``indexes`` (the shared cache by
     default), which doubles as the index prewarm for the evaluation.
 
@@ -169,7 +179,7 @@ def lookup_or_compile(
     replayed into ``stats.extra``; on a miss the query is parsed — unless
     the caller supplies ``parsed`` — rewritten under a ``rewrite`` span,
     and compiled under a ``plan.cache.compile`` span, then cached.  With
-    ``rewrite=False`` the raw text digest keys the entry directly and no
+    ``rewrite=False`` the raw text keys the entry directly and no
     rewrite runs.  A :class:`Rule` object's raw text is its canonical
     text, which, unlike DSL text, can render shared (DAG) nodes.
     """
@@ -182,7 +192,7 @@ def lookup_or_compile(
 
         parsed, source_text = query, None
         key_text = canonical_rule_text(parsed)
-    digest = hashlib.sha256(key_text.encode()).hexdigest()
+    label = _trace_label(key_text) if tracer is not None else None
     cache = indexes if indexes is not None else shared_cache
     for document in (
         [sources] if isinstance(sources, Document) else sources.values()
@@ -195,7 +205,7 @@ def lookup_or_compile(
     ) -> CompiledPlan:
         stats.plan_cache_hits += 1
         if tracer is not None:
-            tracer.event("plan.cache.hit", key=digest[:12], canonical=canonical)
+            tracer.event("plan.cache.hit", key=label, canonical=canonical)
         if replay:
             # warm hit: no rewrite ran this call, so surface the cached
             # plan's rewrite outcome in this evaluation's stats
@@ -204,24 +214,24 @@ def lookup_or_compile(
 
     if not rewrite:
         # raw-keyed, no canonical sharing: the verbatim-evaluation path
-        raw_key = ("raw", digest)
+        raw_key = ("raw", key_text)
         plan = plan_cache.get(raw_key)
         if plan is not None:
             return _hit(plan, canonical=False).rule, source_text, plan
         stats.plan_cache_misses += 1
         if tracer is not None:
-            tracer.event("plan.cache.miss", key=digest[:12])
+            tracer.event("plan.cache.miss", key=label)
         if parsed is None:
             from .dsl import parse_rule
 
             with trace_span(tracer, "parse", query=len(source_text or "")):
                 parsed = parse_rule(source_text)
-        with trace_span(tracer, "plan.cache.compile", key=digest[:12]):
+        with trace_span(tracer, "plan.cache.compile", key=label):
             plan = compile_plan(parsed, rewrite=False, stats=stats)
         plan_cache.put(raw_key, plan)
         return parsed, source_text, plan
 
-    alias_key = digest
+    alias_key = key_text
     target = plan_cache.resolve_alias(alias_key)
     if target is not None:
         plan = plan_cache.get(target)
@@ -236,10 +246,8 @@ def lookup_or_compile(
     rewritten, report = _run_rewrite(parsed, stats)
     from ..analysis.rewrite import canonical_rule_text
 
-    canonical_digest = hashlib.sha256(
-        canonical_rule_text(rewritten).encode()
-    ).hexdigest()
-    canonical_key = ("canon", canonical_digest)
+    canonical_text = canonical_rule_text(rewritten)
+    canonical_key = ("canon", canonical_text)
     plan = plan_cache.get(canonical_key)
     if plan is not None:
         # a semantically equal query compiled this plan under another text;
@@ -248,8 +256,12 @@ def lookup_or_compile(
         return _hit(plan, canonical=True, replay=False).rule, source_text, plan
     stats.plan_cache_misses += 1
     if tracer is not None:
-        tracer.event("plan.cache.miss", key=digest[:12])
-    with trace_span(tracer, "plan.cache.compile", key=canonical_digest[:12]):
+        tracer.event("plan.cache.miss", key=label)
+    with trace_span(
+        tracer,
+        "plan.cache.compile",
+        key=_trace_label(canonical_text) if tracer is not None else None,
+    ):
         plan = _finish_plan(rewritten, report, stats)
     plan_cache.put(canonical_key, plan)
     plan_cache.put_alias(alias_key, canonical_key)

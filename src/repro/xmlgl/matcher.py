@@ -23,6 +23,14 @@ so it is a filter, not a route: on every engine, :func:`_prepare` drops
 each element of the parent box's pool under which the crossed subpattern
 has a witness, counted in ``stats.extra["antijoin_dropped"]``.
 
+A continuous query re-evaluates a commit's effect through
+:func:`match_within`: the compiled graph with one box's pool cut to the
+label intervals the commit touched, and the other boxes of that box's
+fragment narrowed through their arcs (below it: slices inside the cut
+elements' intervals; above it: their parent chains) before any pool is
+built.  Reads never take that route: :func:`_prepare`'s restriction is
+``None`` for them.
+
 Or-arcs are evaluated by branch expansion: one branch per or-group is
 chosen, the resulting plain graph matched, and the binding sets unioned
 (with duplicate elimination across branches).
@@ -65,6 +73,7 @@ Three engines share this module (``ExecOptions.engine``):
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import product
@@ -110,7 +119,7 @@ from .ast import (
     TextPattern,
 )
 
-__all__ = ["CompiledGraphPlan", "compile_graph", "match"]
+__all__ = ["CompiledGraphPlan", "compile_graph", "match", "match_within"]
 
 _ACCESSOR = DocumentAccessor()
 
@@ -144,7 +153,6 @@ def match(
         stats.trace = Tracer()
     budget = arm_budget(stats, options.budget)
     index = index or DocumentIndex(document)
-    engine = options.engine
 
     results = BindingSet()
     with stats.timed():
@@ -155,16 +163,7 @@ def match(
                 prep = _prepare(branch, document, index, options, stats)
                 if prep is None:
                     continue
-                if engine == "pipeline":
-                    produced: Iterator[Binding] = _match_pipeline(prep)
-                else:
-                    produced = _match_backtracking(prep)
-                private = branch.private
-                for binding in produced:
-                    if private:
-                        binding = Binding(
-                            {k: v for k, v in binding.items() if k not in private}
-                        )
+                for binding in _branch_bindings(prep):
                     if multiple_branches:
                         key = binding.key()
                         if key in seen:
@@ -183,6 +182,54 @@ def match(
                 raise
             mark_truncated(stats, exc.limit)
     return results
+
+
+def match_within(
+    plan: "CompiledGraphPlan",
+    document: Document,
+    index: DocumentIndex,
+    node_id: str,
+    intervals: Sequence[tuple[int, int]],
+    options: ExecOptions,
+    stats: EvalStats,
+) -> Iterator[Binding]:
+    """The bindings of a compiled graph whose box ``node_id`` binds an
+    element labelled inside one of ``intervals`` (sorted, disjoint
+    ``(lo, hi)`` label ranges of ``index``).
+
+    Every branch holding the box runs with that box's pool cut to the
+    intervals and its fragment's other boxes narrowed through their arcs
+    (:func:`_narrowed_labels`); boxes of other fragments run in full.
+    A branch whose narrowed pools are empty is not prepared at all.
+    Bindings may repeat across branches, and no ``max_bindings`` check
+    runs here: the caller unions and counts.  Work, row and deadline
+    limits of an armed ``stats.budget`` are charged as in :func:`match`.
+    """
+    for branch in plan.branches:
+        if node_id not in branch.element_ids:
+            continue
+        restrict = _narrowed_labels(branch, index, node_id, intervals)
+        if not all(restrict.values()):
+            continue
+        prep = _prepare(branch, document, index, options, stats, restrict)
+        if prep is not None:
+            yield from _branch_bindings(prep)
+
+
+def _branch_bindings(prep: "_Prep") -> Iterator[Binding]:
+    """One prepared branch's bindings on its engine, with the private
+    circle copies of :func:`_split_shared_circles` dropped."""
+    if prep.options.engine == "pipeline":
+        produced: Iterator[Binding] = _match_pipeline(prep)
+    else:
+        produced = _match_backtracking(prep)
+    private = prep.branch.private
+    if not private:
+        return produced
+    return (
+        Binding({k: v for k, v in binding.items() if k not in private})
+        for binding in produced
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -549,17 +596,27 @@ def _prepare(
     index: DocumentIndex,
     options: ExecOptions,
     stats: EvalStats,
+    restrict: Optional[dict[str, Sequence[int]]] = None,
 ) -> Optional[_Prep]:
     """Bind one compiled branch to a document; ``None`` when some box's
-    pool is empty (the branch cannot bind anything)."""
+    pool is empty (the branch cannot bind anything).
+
+    ``restrict`` maps some boxes to the only labels their pools may draw
+    from (:func:`match_within`); every other box, and every box of a
+    read, starts from its whole index pool."""
     graph = branch.graph
     use_intervals = options.engine != "naive"
     static_candidates: dict[str, list[Element]] = {}
     for node_id in branch.element_ids:
-        pool = _static_candidates(
-            graph.nodes[node_id], document, index, options, stats,
-            branch.attr_hints.get(node_id, []),
-        )
+        hints = branch.attr_hints.get(node_id, [])
+        if restrict is None or node_id not in restrict:
+            pool = _static_candidates(
+                graph.nodes[node_id], document, index, options, stats, hints
+            )
+        else:
+            pool = _candidates_at(
+                graph.nodes[node_id], document, index, restrict[node_id], hints
+            )
         # Constant/regex circles are per-element filters known statically:
         # apply them to the pool once, so *both* engines enumerate only
         # elements that can still resolve every constrained circle (the
@@ -1226,6 +1283,112 @@ def _static_candidates(
         if (node.tag is None or e.tag == node.tag)
         and all(name in e.attributes for name in required_attributes)
     ]
+
+
+def _candidates_at(
+    node: ElementPattern,
+    document: Document,
+    index: DocumentIndex,
+    labels: Sequence[int],
+    required_attributes: list[str],
+) -> list[Element]:
+    """A box's pool drawn from ``labels`` alone (tag-exact, ascending),
+    filtered as :func:`_static_candidates` filters the whole index pool."""
+    element_of = index.element_map()
+    pool = [element_of[label] for label in labels]
+    if node.anchored:
+        return [e for e in pool if e is document.root]
+    if not required_attributes:
+        return pool
+    return [
+        e for e in pool if all(name in e.attributes for name in required_attributes)
+    ]
+
+
+def _narrowed_labels(
+    branch: _BranchPlan,
+    index: DocumentIndex,
+    node_id: str,
+    intervals: Sequence[tuple[int, int]],
+) -> dict[str, list[int]]:
+    """Candidate labels for every box of ``node_id``'s fragment when that
+    box may bind only inside ``intervals``.
+
+    The box takes bisect slices of its tag's label column; the rest of
+    the fragment follows through its arcs from there, each box once: a
+    child box keeps the labels inside its narrowed parent's intervals
+    (with the parent's label as parent on a direct arc), a parent box the
+    labels on its narrowed child's parent chain (one step on a direct
+    arc).  Each narrowing is a necessary condition of the arc, so no row
+    of the restricted box is lost.
+    """
+    graph = branch.graph
+    column = index.label_column(graph.nodes[node_id].tag)
+    seed: list[int] = []
+    for lo, hi in intervals:
+        seed.extend(column[bisect_left(column, lo):bisect_right(column, hi)])
+    labels = {node_id: seed}
+    ids = next(ids for ids, _edges, _reason in branch.components if node_id in ids)
+    edges_by_endpoint = branch.fragment_locals(ids).edges_by_endpoint
+    frontier = [node_id]
+    while frontier:
+        current = frontier.pop()
+        for edge in edges_by_endpoint[current]:
+            if edge.parent == current and edge.child not in labels:
+                other = edge.child
+                labels[other] = _labels_below(
+                    index, graph.nodes[other].tag, labels[current], edge.deep
+                )
+            elif edge.child == current and edge.parent not in labels:
+                other = edge.parent
+                labels[other] = _labels_above(
+                    index, graph.nodes[other].tag, labels[current], edge.deep
+                )
+            else:
+                continue
+            if not labels[other]:
+                return labels
+            frontier.append(other)
+    return labels
+
+
+def _labels_below(
+    index: DocumentIndex, tag: Optional[str], parents: Sequence[int], deep: bool
+) -> list[int]:
+    """``tag`` labels inside the subtrees of ``parents`` (ascending), or
+    only their children when ``deep`` is off."""
+    column = index.label_column(tag)
+    posts = index.post_map()
+    found: list[int] = []
+    end = -1
+    for parent in parents:
+        if parent <= end:
+            continue  # nested in the previous parent's subtree
+        end = posts[parent]
+        found.extend(column[bisect_right(column, parent):bisect_right(column, end)])
+    if deep:
+        return found
+    parent_of, allowed = index.parent_map(), set(parents)
+    return [label for label in found if parent_of[label] in allowed]
+
+
+def _labels_above(
+    index: DocumentIndex, tag: Optional[str], children: Sequence[int], deep: bool
+) -> list[int]:
+    """``tag`` labels among the parents of ``children`` (ascending), or
+    among all their proper ancestors when ``deep`` is on."""
+    parent_of, element_of = index.parent_map(), index.element_map()
+    chain: set[int] = set()
+    for child in children:
+        label = parent_of[child]
+        while label >= 0 and label not in chain:
+            chain.add(label)
+            if not deep:
+                break
+            label = parent_of[label]
+    return sorted(
+        label for label in chain if tag is None or element_of[label].tag == tag
+    )
 
 
 def _ordered_ok(

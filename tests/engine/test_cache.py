@@ -136,6 +136,20 @@ class TestStatsMirroring:
         assert stats.cache_misses == 1 and stats.cache_hits == 1
 
 
+class TestReleasedByRefcount:
+    def test_dropped_cache_frees_its_indexes_without_a_collection(self):
+        import weakref
+
+        document = doc()
+        cache = DocumentIndexCache()
+        index = weakref.ref(cache.get(document))
+        released = weakref.ref(cache)
+        del cache
+        # No reference cycle holds the cache: it and its index go at once,
+        # not at the next full garbage collection.
+        assert released() is None and index() is None
+
+
 class TestDropCallbackIdentity:
     """Regressions for the weakref-callback eviction race.
 

@@ -388,14 +388,22 @@ class TestTouchedRegion:
         assert result.touched.attributes == {"year"}
         assert result.touched.tags == {"book"}
 
-    def test_intervals_reported_when_index_maintained(self):
+    def test_edited_elements_reported(self):
         document = doc()
-        index = DocumentIndex(document)
-        target = document.root.child_elements()[0]
+        first, second = document.root.child_elements()[:2]
+        note = Element("note")
         result = apply_batch(
-            document, MutationBatch().update_value(target, "t"), indexes=[index]
+            document,
+            MutationBatch()
+            .update_value(first, "t")
+            .insert_subtree(first, note)
+            .delete_subtree(second),
+            indexes=[DocumentIndex(document)],
         )
-        assert result.touched.intervals == (index.interval(target),)
+        touched = result.touched
+        assert touched.inserted == (note,) and touched.deleted == (second,)
+        assert touched.changed == (first,)
+        assert touched.edit_points == (first, first, document.root)
 
 
 class TestWireForm:

@@ -4,13 +4,18 @@ import threading
 
 import pytest
 
+from repro.engine.cache import DocumentIndexCache
+from repro.engine.limits import QueryBudget
 from repro.engine.mutate import MutationBatch, TouchedRegion
-from repro.engine.subscribe import QueryFootprint
-from repro.errors import ReproError
+from repro.engine.options import ExecOptions
+from repro.engine.subscribe import MAX_PENDING, QueryFootprint
+from repro.errors import BudgetExceeded, ReproError
 from repro.session import QuerySession
 from repro.ssd import parse_document
 from repro.ssd.model import Element, Text
+from repro.workloads import bibliography
 from repro.xmlgl.dsl import parse_rule
+from repro.xmlgl.evaluator import rule_bindings
 
 DOC = (
     '<bib>'
@@ -288,3 +293,155 @@ class TestSessionWiring:
         )
         [delta] = subscription.poll()
         assert len(delta.added) == 1
+
+
+ALL_BOOKS = "query { book as B } construct { r { collect B } }"
+
+
+class TestFailureIsolation:
+    def test_failed_reevaluation_closes_only_that_subscription(self):
+        session = QuerySession(parse_document(DOC))
+        capped = session.subscribe(
+            ALL_BOOKS,
+            options=ExecOptions(budget=QueryBudget(max_bindings=2)),
+        )
+        plain = session.subscribe(ALL_BOOKS)
+        waited = []
+        waiter = threading.Thread(
+            target=lambda: waited.append(capped.wait(timeout=5.0))
+        )
+        waiter.start()
+        result = session.mutate(
+            MutationBatch().insert_subtree(
+                session._sources.root, book("D", "2001")
+            )
+        )
+        waiter.join(timeout=5.0)
+        assert not waiter.is_alive() and waited == [[]]
+        assert result.doc_revision == 1
+        # The budget trips as a full run's would, and only closes its
+        # own subscription; the other still sees the commit.
+        assert capped.closed and isinstance(capped.error, BudgetExceeded)
+        assert capped.error.limit == "max_bindings"
+        assert "BudgetExceeded" in capped.describe()
+        assert plain.last_revision == 1 and len(plain.rows()) == 3
+        assert not plain.closed and plain.error is None
+        [delta] = plain.poll()
+        assert len(delta.added) == 1
+        # Later commits skip the closed subscription without raising.
+        session.mutate(
+            MutationBatch().insert_subtree(
+                session._sources.root, book("E", "2002")
+            )
+        )
+        assert len(plain.rows()) == 4
+
+    def test_partial_budget_rows_equal_a_full_run(self):
+        budget = QueryBudget(max_bindings=2, on_limit="partial")
+        document = parse_document(DOC)
+        session = QuerySession(document, indexes=DocumentIndexCache())
+        subscription = session.subscribe(
+            ALL_BOOKS, options=ExecOptions(budget=budget)
+        )
+        root = document.root
+        for title in ("D", "E"):
+            session.mutate(MutationBatch().insert_subtree(root, book(title, "2001")))
+            expected = rule_bindings(
+                subscription.rule, document, budget=budget,
+                indexes=DocumentIndexCache(),
+            )
+            assert {b.key() for b in subscription.rows()} == {
+                b.key() for b in expected
+            }
+        assert subscription.fallbacks == {
+            "delta_fallback_budget": 1, "delta_fallback_truncated": 1,
+        }
+        assert not subscription.closed
+
+
+class TestDeltaRoute:
+    def test_relevant_commits_take_the_delta_rule(self):
+        session, subscription = self.make_books()
+        root = session._sources.root
+        session.mutate(MutationBatch().insert_subtree(root, book("D", "2001")))
+        session.mutate(MutationBatch().delete_subtree(root.child_elements()[0]))
+        assert subscription.delta_evals == 2 and subscription.full_evals == 0
+        assert subscription.fallbacks == {}
+        assert "2 delta, 0 full" in subscription.describe()
+
+    def make_books(self):
+        session = QuerySession(parse_document(DOC))
+        return session, session.subscribe(BOOKS)
+
+    def test_ordered_arcs_fall_back_counted(self):
+        session = QuerySession(parse_document(DOC))
+        subscription = session.subscribe(
+            "query { book as B { ord title as T  ord author as A } }"
+            " construct { r { collect B } }"
+        )
+        session.mutate(
+            MutationBatch().insert_subtree(
+                session._sources.root, book("D", "2001")
+            )
+        )
+        assert subscription.fallbacks == {"delta_fallback_ordered": 1}
+        assert subscription.full_evals == 1 and subscription.delta_evals == 0
+        assert "delta_fallback_ordered 1" in subscription.describe()
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            "query { book as B { @year as Y } } construct { r { collect B } }",
+            "query { root bib as R { deep last as L } }"
+            " construct { r { collect L } }",
+            "query { book as B { not publisher as P } }"
+            " construct { r { collect B } }",
+        ],
+        ids=["year_attr", "deep_last", "no_publisher"],
+    )
+    def test_delta_work_follows_the_touched_size(self, query):
+        """The same entry insert costs the same matching work whether the
+        bibliography holds 150 or 1,500 entries."""
+        work = []
+        for entries in (150, 1500):
+            document = bibliography(entries, seed=1)
+            session = QuerySession(document, indexes=DocumentIndexCache())
+            subscription = session.subscribe(query)
+            entry = parse_document(
+                "<book year='1999' id='new'><title>T</title>"
+                "<author><first>A</first><last>X</last></author>"
+                "<price>12.00</price></book>"
+            ).root
+            entry.parent = None
+            session.mutate(MutationBatch().insert_subtree(document.root, entry))
+            assert subscription.delta_evals == 1
+            [delta] = subscription.poll()
+            assert len(delta.added) == 1
+            stats = subscription.last_stats
+            work.append(
+                stats.candidates_tried + stats.relation_pairs + stats.hashjoin_rows
+            )
+        small, large = work
+        assert 0 < large <= 2 * small
+
+
+class TestPendingBound:
+    def test_overflow_collapses_into_one_resync_delta(self):
+        session = QuerySession(parse_document(DOC))
+        subscription = session.subscribe(ALL_BOOKS)
+        root = session._sources.root
+        for position in range(MAX_PENDING + 1):
+            session.mutate(
+                MutationBatch().insert_subtree(root, book(str(position), "2001"))
+            )
+        [delta] = subscription.poll()
+        assert delta.resync and not delta.removed
+        assert delta.revision == MAX_PENDING + 1
+        assert [b.key() for b in delta.added] == [
+            b.key() for b in subscription.rows()
+        ]
+        assert len(delta.added) == 2 + MAX_PENDING + 1
+        # Deltas after a resync queue behind it as usual.
+        session.mutate(MutationBatch().insert_subtree(root, book("x", "2001")))
+        [after] = subscription.poll()
+        assert not after.resync and len(after.added) == 1

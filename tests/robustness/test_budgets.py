@@ -44,9 +44,14 @@ class TestDeadline:
         rule = parse_rule(JOIN_RULE)
         # A quarter of what the same evaluation takes unbudgeted, on a
         # fresh cache like the run below: far from a coin flip on any host.
-        started = time.perf_counter()
-        evaluate_rule(rule, big_doc, indexes=DocumentIndexCache())
-        deadline = max(1, int((time.perf_counter() - started) * 1000.0 / 4))
+        # The fastest of three references: one that a full garbage
+        # collection lands in can outlast the budgeted run itself.
+        reference_ms = []
+        for _ in range(3):
+            started = time.perf_counter()
+            evaluate_rule(rule, big_doc, indexes=DocumentIndexCache())
+            reference_ms.append((time.perf_counter() - started) * 1000.0)
+        deadline = max(1, int(min(reference_ms) / 4))
         stats = EvalStats()
         started = time.perf_counter()
         with pytest.raises(DeadlineExceeded) as info:
