@@ -3,8 +3,8 @@
 The set-at-a-time pipeline (:mod:`repro.engine.pipeline`) compiles a query
 fragment into *unary* relations (per-node candidate pools) and *binary*
 relations (candidate pairs satisfying one pattern edge).  Candidates are
-ints — ``pre`` ids for document elements, positions in ``data.nodes()``
-for graph nodes — so pools are sorted ``array('i')`` columns and every
+ints — gap labels for document elements, dense node ids for graph
+nodes — so pools are sorted ``array('i')`` columns and every
 relation is a :class:`ColumnRelation` of two parallel int columns.  This
 module holds that representation and the two algorithms the pipeline
 runs over it:

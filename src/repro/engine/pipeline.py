@@ -6,8 +6,10 @@ that shape directly and leaves language semantics to the matchers:
 
 * a *variable* per pattern node, with a **candidate pool** (unary relation)
   supplied by the caller as a sorted ``array('i')`` of int candidates —
-  ``pre`` ids from a :class:`~repro.engine.index.DocumentIndex` for
-  XML-GL, positions in ``data.nodes()`` for WG-Log graph matching;
+  gap labels from a :class:`~repro.engine.index.DocumentIndex` for
+  XML-GL, dense node ids of a
+  :class:`~repro.graph.labeled_graph.LabeledGraph` for WG-Log graph
+  matching;
 * a :class:`~repro.engine.joins.ColumnRelation` per pattern edge holding
   the candidate **pairs** that satisfy it, as two parallel int columns.
 
@@ -116,7 +118,7 @@ def evaluate_forest(
         flat int list aligned with ``order``.  Distinct trees of the forest
         combine by cross product.  The whole plan→reduce→assemble cascade
         never touches a node object: callers map ints back to nodes (the
-        index's ``pre -> element`` table, a graph's node list).
+        index's ``pre -> element`` table, a graph's dense-id node table).
     """
     if stats.budget is not None:
         stats.budget.poll()

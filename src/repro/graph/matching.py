@@ -14,16 +14,23 @@ labels and edges.  This module implements a backtracking matcher with
 
 The matcher works on :class:`~repro.graph.labeled_graph.LabeledGraph`
 pattern/data pairs; XML documents are matched by a specialised tree matcher
-in :mod:`repro.xmlgl.matcher` that shares the same planner.
+in :mod:`repro.xmlgl.matcher` that shares the same planner.  Its
+set-at-a-time counterpart, :func:`match_rows`, reads the data graph's int
+columns (per-label node ids and edge columns) and returns rows of dense
+node ids; the backtracking matcher stays the oracle it is checked against
+and reads only the public accessors.
 """
 
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import product
-from typing import Callable, Collection, Hashable, Iterable, Iterator, Optional
+from operator import itemgetter
+from typing import (
+    Callable, Collection, Hashable, Iterable, Iterator, Optional, Sequence,
+)
 
 from ..engine.narrowing import intersect_pools
 from ..engine.pipeline import (
@@ -43,6 +50,7 @@ __all__ = [
     "MatchSpec",
     "find_homomorphisms",
     "find_homomorphisms_setwise",
+    "match_rows",
     "count_homomorphisms",
 ]
 
@@ -237,64 +245,175 @@ def find_homomorphisms_setwise(
 ) -> Iterator[dict[NodeId, NodeId]]:
     """Set-at-a-time counterpart of :func:`find_homomorphisms`.
 
-    Pattern components whose direct-edge skeleton is a forest are compiled
-    to candidate pools plus edge relations and evaluated through
-    :func:`repro.engine.pipeline.evaluate_forest` (semi-join reduction,
-    then hash joins).  Components the pipeline cannot cover — cyclic
-    skeletons, path edges — fall back to the backtracking matcher;
-    :func:`repro.engine.pipeline.run_fragment` drives that choice per
-    component and tallies it.
-    Seeded pools (``spec.candidates``) and restricted relations
-    (``spec.edge_pairs``) are honoured on both routes.
-
-    Injectivity is a filter, not a route: every component runs as a
-    homomorphism, and merged rows that map two pattern nodes to one data
-    node are dropped, counted in ``stats.extra["injective_dropped"]``.
+    The public face of :func:`match_rows`: seeded pools
+    (``spec.candidates``) and restricted relations (``spec.edge_pairs``)
+    are translated to dense ids, and each row is decoded to a mapping.
     Yields the same mappings as :func:`find_homomorphisms`, though
     possibly in a different order.
     """
     spec = spec or MatchSpec()
-    stats = stats if stats is not None else EvalStats()
-    pattern_nodes = list(pattern.nodes())
-    if not pattern_nodes:
-        yield {}
-        return
+    dense = data.dense_id
+    pools = {
+        pnode: [dense(node) for node in seeds]
+        for pnode, seeds in spec.candidates.items()
+    }
+    pairs = {}
+    for edge, restricted in spec.edge_pairs.items():
+        unique = dict.fromkeys((dense(s), dense(t)) for s, t in restricted)
+        pairs[edge] = (
+            array("i", (s for s, _ in unique)), array("i", (t for _, t in unique))
+        )
+    variables = list(pattern.nodes())
+    table = data.node_table()
+    rows = match_rows(
+        pattern, data, spec, stats if stats is not None else EvalStats(),
+        pools=pools, pairs=pairs,
+    )
+    for row in rows:
+        yield dict(zip(variables, [table[index] for index in row]))
 
-    compat = spec.node_compat or _default_compat(pattern, data)
+
+def match_rows(
+    pattern: LabeledGraph,
+    data: LabeledGraph,
+    spec: MatchSpec,
+    stats: EvalStats,
+    *,
+    setwise: bool = True,
+    pools: Optional[dict[NodeId, Iterable[int]]] = None,
+    pairs: Optional[dict[Edge, tuple[Sequence[int], Sequence[int]]]] = None,
+) -> list[tuple[int, ...]]:
+    """Every match of ``pattern`` as a row of dense data ids.
+
+    Row columns follow ``pattern.nodes()``.  Seeds are dense ids here:
+    ``pools`` restricts a pattern node to the listed ids, ``pairs`` a
+    direct pattern edge to the listed ``(sources, targets)`` columns;
+    ``spec.candidates`` and ``spec.edge_pairs`` are not read.
+
+    With ``setwise`` (the default), pattern components whose direct-edge
+    skeleton is a forest are compiled to pools plus edge relations and
+    evaluated through :func:`repro.engine.pipeline.evaluate_forest`
+    (semi-join reduction, then hash joins).  Components the pipeline
+    cannot cover — cyclic skeletons, path edges — fall back to the
+    backtracking matcher; :func:`repro.engine.pipeline.run_fragment`
+    drives that choice per component and tallies it.  Without
+    ``setwise`` the whole pattern runs on :func:`find_homomorphisms` (the
+    oracle engines), its mappings encoded as rows.
+
+    Injectivity is a filter, not a route: every component runs as a
+    homomorphism, and rows that map two pattern nodes to one data node
+    are dropped, counted in ``stats.extra["injective_dropped"]``.  Only
+    the column pairs whose pools can overlap are compared.
+    """
+    pools = pools or {}
+    pairs = pairs or {}
+    variables = list(pattern.nodes())
+    if not setwise:
+        found = find_homomorphisms(
+            pattern, data, _node_spec(spec, data, pools, pairs), stats
+        )
+        return _encode(data, variables, found)
+    if not variables:
+        return [()]
     all_edges = list(pattern.edges())
     components = connected_components(
-        pattern_nodes, [(e.source, e.target) for e in all_edges]
+        variables, [(e.source, e.target) for e in all_edges]
     )
-    per_component: list[list[dict[NodeId, NodeId]]] = []
+    columns: list[NodeId] = []
+    parts: list[list[tuple[int, ...]]] = []
     for component in components:
-        nodes = [p for p in pattern_nodes if p in component]
+        nodes = [p for p in variables if p in component]
         edges = [e for e in all_edges if e.source in component]
-        subspec = MatchSpec(
-            injective=False,
-            node_compat=compat,
-            path_edges={e for e in spec.path_edges if e.source in component},
-            narrow=spec.narrow,
-            candidates=spec.candidates,
-            edge_pairs=spec.edge_pairs,
-        )
+        subspec = replace(spec, injective=False)
         rows = run_fragment(
             stats,
             nodes,
             _setwise_fallback_reason(component, edges, spec),
-            partial(_setwise_component, nodes, edges, data, subspec, stats),
-            partial(_backtrack_component, pattern, nodes, data, subspec, stats),
+            partial(
+                _setwise_component, pattern, nodes, edges, data, subspec,
+                pools, pairs, stats,
+            ),
+            partial(
+                _backtrack_component, pattern, nodes, data, subspec,
+                pools, pairs, stats,
+            ),
         )
         if not rows:
-            return
-        per_component.append(rows)
-    for combo in product(*per_component):
-        merged: dict[NodeId, NodeId] = {}
-        for part in combo:
-            merged.update(part)
-        if spec.injective and len(set(merged.values())) < len(merged):
-            stats.bump("injective_dropped")
-            continue
-        yield merged
+            return []
+        columns.extend(nodes)
+        parts.append(rows)
+    if len(parts) == 1:
+        rows = parts[0]
+    else:
+        rows = [sum(combo, ()) for combo in product(*parts)]
+        if columns != variables:
+            rows = _reorder(rows, [columns.index(p) for p in variables])
+    clashes = _clashing_columns(pattern, variables, spec) if spec.injective else []
+    if clashes:
+        if len(clashes) == 1:
+            (a, b), = clashes
+            kept = [row for row in rows if row[a] != row[b]]
+        else:
+            kept = [row for row in rows if all(row[a] != row[b] for a, b in clashes)]
+        if len(kept) < len(rows):
+            stats.bump("injective_dropped", len(rows) - len(kept))
+        rows = kept
+    return rows
+
+
+def _clashing_columns(
+    pattern: LabeledGraph, variables: list[NodeId], spec: MatchSpec
+) -> list[tuple[int, int]]:
+    """Column pairs whose pools can share a node: equal pattern labels or
+    a wildcard, or every pair under a custom ``spec.node_compat``."""
+    labels = [pattern.label(p) for p in variables]
+    return [
+        (a, b)
+        for a in range(len(labels))
+        for b in range(a + 1, len(labels))
+        if spec.node_compat is not None
+        or labels[a] == labels[b]
+        or "*" in (labels[a], labels[b])
+    ]
+
+
+def _reorder(rows: list, at: list[int]) -> list[tuple[int, ...]]:
+    """Rows with their columns picked (and permuted) by ``at``."""
+    if len(at) == 1:
+        first = at[0]
+        return [(row[first],) for row in rows]
+    pick = itemgetter(*at)
+    return [pick(row) for row in rows]
+
+
+def _node_spec(
+    spec: MatchSpec,
+    data: LabeledGraph,
+    pools: dict[NodeId, Iterable[int]],
+    pairs: dict[Edge, tuple[Sequence[int], Sequence[int]]],
+) -> MatchSpec:
+    """``spec`` with dense-id seeds decoded for :func:`find_homomorphisms`."""
+    table = data.node_table()
+    return replace(
+        spec,
+        candidates={
+            pnode: [table[index] for index in seeds]
+            for pnode, seeds in pools.items()
+        },
+        edge_pairs={
+            edge: {(table[s], table[t]) for s, t in zip(*columns)}
+            for edge, columns in pairs.items()
+        },
+    )
+
+
+def _encode(
+    data: LabeledGraph,
+    variables: list[NodeId],
+    mappings: Iterable[dict[NodeId, NodeId]],
+) -> list[tuple[int, ...]]:
+    dense = data.dense_id
+    return [tuple(dense(m[p]) for p in variables) for m in mappings]
 
 
 def _backtrack_component(
@@ -302,10 +421,15 @@ def _backtrack_component(
     nodes: list[NodeId],
     data: LabeledGraph,
     spec: MatchSpec,
+    pools: dict[NodeId, Iterable[int]],
+    pairs: dict[Edge, tuple[Sequence[int], Sequence[int]]],
     stats: EvalStats,
-) -> list[dict[NodeId, NodeId]]:
+) -> list[tuple[int, ...]]:
     """One component node-at-a-time: the fallback of the pipeline route."""
-    return list(find_homomorphisms(pattern.subgraph(nodes), data, spec, stats))
+    found = find_homomorphisms(
+        pattern.subgraph(nodes), data, _node_spec(spec, data, pools, pairs), stats
+    )
+    return _encode(data, nodes, found)
 
 
 def _setwise_fallback_reason(
@@ -324,40 +448,31 @@ def _setwise_fallback_reason(
 
 
 def _setwise_component(
+    pattern: LabeledGraph,
     nodes: list[NodeId],
     edges: list[Edge],
     data: LabeledGraph,
     spec: MatchSpec,
+    seeds: dict[NodeId, Iterable[int]],
+    restricted: dict[Edge, tuple[Sequence[int], Sequence[int]]],
     stats: EvalStats,
-) -> list[dict[NodeId, NodeId]]:
+) -> list[tuple[int, ...]]:
     """Pools + edge relations + forest evaluation for one component.
 
-    Data nodes are numbered by their position in ``data.nodes()``, so each
-    pool is a sorted ``array('i')`` of positions and each edge relation a
-    :class:`~repro.engine.joins.ColumnRelation` — the same int-column
-    representation the XML-GL pipeline runs on.  Assembled rows map back
-    to node ids through the position table.  A seeded pool filters only
-    its seeds; a restricted relation is built from its pairs alone.
+    Everything is dense ids, the same int-column representation the
+    XML-GL pipeline runs on.  A pool is the pattern label's node column
+    (every node for the wildcard ``*``), filtered by the pattern value;
+    a seeded pool is its seeds with those filters; a custom
+    ``spec.node_compat`` replaces both filters.  A relation is the edge
+    label's columns filtered by the two pools, read through the label's
+    adjacency index instead when one pool is much smaller than the
+    label; a restricted relation is its pairs filtered by the pools.
     """
-    compat = spec.node_compat
-    assert compat is not None
-    node_ids = list(data.nodes())
-    position = {node: i for i, node in enumerate(node_ids)}
     budget = stats.budget
     pools: dict[NodeId, array] = {}
     pool_sets: dict[NodeId, set[int]] = {}
     for pnode in nodes:
-        seeds = spec.candidates.get(pnode)
-        if seeds is None:
-            pool = array(
-                "i",
-                (i for i, dnode in enumerate(node_ids) if compat(pnode, dnode)),
-            )
-        else:
-            pool = array(
-                "i",
-                sorted({position[d] for d in seeds if compat(pnode, d)}),
-            )
+        pool = _pool(pattern, pnode, data, spec.node_compat, seeds.get(pnode))
         if budget is not None:
             budget.charge(max(1, len(pool)))
         if not pool:
@@ -366,44 +481,20 @@ def _setwise_component(
         pool_sets[pnode] = set(pool)
     relations = []
     for edge in edges:
-        # enumerate from the smaller side's adjacency, deduplicating
-        # parallel data edges (the relation is a set of pairs)
         left = array("i")
         right = array("i")
-        seen: set[tuple[int, int]] = set()
-        restricted = spec.edge_pairs.get(edge)
-        if restricted is not None:
-            source_set = pool_sets[edge.source]
-            target_set = pool_sets[edge.target]
-            for source_node, target_node in restricted:
-                source = position[source_node]
-                target = position[target_node]
-                if (
-                    source in source_set
-                    and target in target_set
-                    and (source, target) not in seen
-                ):
-                    seen.add((source, target))
-                    left.append(source)
-                    right.append(target)
-        elif len(pools[edge.source]) <= len(pools[edge.target]):
-            target_set = pool_sets[edge.target]
-            for source in pools[edge.source]:
-                for node in data.successors(node_ids[source], edge.label):
-                    target = position[node]
-                    if target in target_set and (source, target) not in seen:
-                        seen.add((source, target))
-                        left.append(source)
-                        right.append(target)
-        else:
-            source_set = pool_sets[edge.source]
-            for target in pools[edge.target]:
-                for node in data.predecessors(node_ids[target], edge.label):
-                    source = position[node]
-                    if source in source_set and (source, target) not in seen:
-                        seen.add((source, target))
-                        left.append(source)
-                        right.append(target)
+        source_set = pool_sets[edge.source]
+        target_set = pool_sets[edge.target]
+        pairs = restricted.get(edge)
+        if pairs is None:
+            pairs = data.edge_columns(edge.label)
+            smaller = min(len(source_set), len(target_set))
+            if smaller * _ADJACENCY_RATIO < len(pairs[0]):
+                pairs = _adjacent_pairs(data, edge.label, pools, edge)
+        for source, target in zip(*pairs):
+            if source in source_set and target in target_set:
+                left.append(source)
+                right.append(target)
         if budget is not None:
             budget.add_rows(len(left))
         relation = relation_for(edge.source, edge.target, (left, right), stats)
@@ -411,10 +502,64 @@ def _setwise_component(
             return []
         relations.append(relation)
     order, rows = evaluate_forest(pools, relations, stats)
-    return [
-        {var: node_ids[candidate] for var, candidate in zip(order, row)}
-        for row in rows
-    ]
+    if order == nodes:
+        return list(map(tuple, rows))
+    return _reorder(rows, [order.index(p) for p in nodes])
+
+
+#: A relation reads the label's adjacency index instead of scanning its
+#: columns when its smaller pool times this is under the label's size.
+_ADJACENCY_RATIO = 8
+
+
+def _adjacent_pairs(
+    data: LabeledGraph, label: str, pools: dict[NodeId, array], edge: Edge
+) -> tuple[array, array]:
+    """The ``label`` edges at the smaller pool, from the adjacency index."""
+    left = array("i")
+    right = array("i")
+    if len(pools[edge.source]) <= len(pools[edge.target]):
+        for source in pools[edge.source]:
+            targets = data.dense_successors(source, label)
+            left.extend([source] * len(targets))
+            right.extend(targets)
+    else:
+        for target in pools[edge.target]:
+            sources = data.dense_predecessors(target, label)
+            left.extend(sources)
+            right.extend([target] * len(sources))
+    return left, right
+
+
+def _pool(
+    pattern: LabeledGraph,
+    pnode: NodeId,
+    data: LabeledGraph,
+    compat: Optional[NodeCompat],
+    seeds: Optional[Iterable[int]],
+) -> array:
+    """The sorted candidate column of one pattern node."""
+    if compat is not None:
+        table = data.node_table()
+        candidates = data.label_pool() if seeds is None else sorted(set(seeds))
+        return array(
+            "i", (i for i in candidates if compat(pnode, table[i]))
+        )
+    label = pattern.label(pnode)
+    if seeds is None:
+        pool = data.label_pool(None if label == "*" else label)
+    elif label == "*":
+        pool = array("i", sorted(set(seeds)))
+    else:
+        dense_label = data.dense_label
+        pool = array(
+            "i", sorted({i for i in seeds if dense_label(i) == label})
+        )
+    value = pattern.value(pnode)
+    if value is not None:
+        dense_value = data.dense_value
+        pool = array("i", (i for i in pool if dense_value(i) == value))
+    return pool
 
 
 def count_homomorphisms(

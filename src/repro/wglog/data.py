@@ -36,8 +36,12 @@ class InstanceGraph:
     # -- construction ---------------------------------------------------------
 
     def _next_id(self, stem: str) -> str:
-        self._fresh += 1
-        return f"{stem}#{self._fresh}"
+        """A fresh ``stem#N`` id, skipping ids already in the graph."""
+        while True:
+            self._fresh += 1
+            candidate = f"{stem}#{self._fresh}"
+            if candidate not in self.graph:
+                return candidate
 
     def add_entity(self, label: str, node_id: Optional[NodeId] = None) -> NodeId:
         """Add an entity node of type ``label``; returns its id."""
@@ -54,10 +58,10 @@ class InstanceGraph:
         """
         if entity not in self.graph:
             raise KeyError(f"unknown entity {entity!r}")
-        for edge in self.graph.out_edges(entity, name):
-            if self.is_slot(edge.target):
-                self.graph.add_node(edge.target, SLOT_LABEL, value=value)
-                return edge.target
+        for target in self.graph.successors(entity, name):
+            if self.is_slot(target):
+                self.graph.add_node(target, SLOT_LABEL, value=value)
+                return target
         slot_id = self._next_id(f"{entity}.{name}")
         self.graph.add_node(slot_id, SLOT_LABEL, value=value)
         self.graph.add_edge(entity, slot_id, name)
@@ -77,12 +81,11 @@ class InstanceGraph:
 
     def entities(self, label: Optional[str] = None) -> list[NodeId]:
         """Entity node ids, optionally of one type."""
-        return [
-            n
-            for n in self.graph.nodes()
-            if not self.is_slot(n)
-            and (label is None or self.graph.label(n) == label)
-        ]
+        if label == SLOT_LABEL:
+            return []
+        if label is not None:
+            return self.graph.nodes_with_label(label)
+        return [n for n in self.graph.nodes() if not self.is_slot(n)]
 
     def entity_count(self) -> int:
         """Number of entity nodes."""
@@ -94,9 +97,9 @@ class InstanceGraph:
 
     def slot_value(self, entity: NodeId, name: str) -> Optional[Atomic]:
         """The value of slot ``name`` on ``entity``, or ``None``."""
-        for edge in self.graph.out_edges(entity, name):
-            if self.is_slot(edge.target):
-                return self.graph.value(edge.target)  # type: ignore[return-value]
+        for target in self.graph.successors(entity, name):
+            if self.is_slot(target):
+                return self.graph.value(target)  # type: ignore[return-value]
         return None
 
     def slots(self, entity: NodeId) -> dict[str, Atomic]:

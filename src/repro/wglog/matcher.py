@@ -20,7 +20,7 @@ subgraph matcher.  Two WG-Log specifics are layered on top:
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, Callable, Hashable, Iterator, Optional, Sequence
+from typing import Any, Hashable, Mapping, Optional, Sequence
 
 from ..engine.bindings import Binding, BindingSet
 from ..engine.conditions import condition_variables
@@ -30,16 +30,52 @@ from ..engine.stats import EvalStats
 from ..engine.trace import Tracer, span as trace_span
 from ..errors import BudgetExceeded, QueryStructureError, SchemaError
 from ..graph.labeled_graph import Edge, LabeledGraph
-from ..graph.matching import MatchSpec, find_homomorphisms, find_homomorphisms_setwise
+from ..graph.matching import MatchSpec, match_rows
 from .ast import Color, RuleEdge, RuleGraph
 from .data import SLOT_LABEL, InstanceGraph
 from .schema import WGSchema
 
 __all__ = [
-    "GraphAccessor", "embeddings", "check_against_schema", "delta_restrictable",
+    "GraphAccessor", "Embeddings", "embeddings", "check_against_schema",
+    "delta_restrictable",
 ]
 
 NodeId = Hashable
+
+
+class Embeddings(BindingSet):
+    """Embeddings as rows of the instance's dense node ids.
+
+    ``rows[i][j]`` is the dense id bound to red node ``columns[j]`` in the
+    i-th embedding.  The :class:`Binding` objects are decoded from the
+    rows on first read, so :func:`~repro.wglog.semantics.apply_rule`,
+    which instantiates plain green edges straight from the row columns,
+    never builds them.  ``rows`` describes the embeddings as matched; a
+    later :meth:`add` changes only the bindings.
+    """
+
+    __slots__ = ("columns", "rows", "_table")
+
+    def __init__(
+        self,
+        columns: Sequence[str],
+        rows: list[tuple[int, ...]],
+        table: Sequence[NodeId],
+    ) -> None:
+        # the base class's ``_bindings`` slot stays unset until first read
+        self.columns = list(columns)
+        self.rows = rows
+        self._table = table
+
+    def __getattr__(self, name: str) -> Any:
+        if name != "_bindings":
+            raise AttributeError(name)
+        table, columns = self._table, self.columns
+        self._bindings = [
+            Binding(dict(zip(columns, [table[i] for i in row])))
+            for row in self.rows
+        ]
+        return self._bindings
 
 
 class GraphAccessor:
@@ -105,8 +141,8 @@ def embeddings(
     options: Optional[ExecOptions] = None,
     trace: Optional[bool] = None,
     budget: Optional[QueryBudget] = None,
-    delta: Optional[Sequence[Edge]] = None,
-) -> BindingSet:
+    delta: Optional[Mapping[str, int]] = None,
+) -> Embeddings:
     """All embeddings of the rule's red part into ``instance``.
 
     Returns bindings from red node ids to instance node ids.  ``injective``
@@ -130,12 +166,18 @@ def embeddings(
     every core row whose boundary tuple it hits is dropped.  A pairwise
     crossed edge (both ends positively bound) has an empty fragment.
 
-    ``delta`` (keyword-only) is the semi-naive hint: the instance edges
-    added since this rule last matched.  Embeddings that use none of them
-    may then be skipped — each positive red edge is matched in turn
-    against the delta alone, and the union returned.  A rule the
-    restriction cannot cover (see :func:`delta_restrictable`) is matched
-    in full.
+    ``delta`` (keyword-only) is the semi-naive hint: per edge label, the
+    length its edge columns had when this rule last started matching
+    (:meth:`~repro.graph.labeled_graph.LabeledGraph.edge_marks`), so the
+    instance edges added since are the columns' tails (all of a label
+    without a mark).  Embeddings that use none of them may then be
+    skipped — each positive red edge is matched in turn against the delta
+    alone, and the union returned.  A rule the restriction cannot cover
+    (see :func:`delta_restrictable`) is matched in full.
+
+    Matching, the anti-joins, the injective filter and the delta all run
+    on rows of dense node ids; the result is an :class:`Embeddings`, which
+    decodes its bindings only when they are read.
 
     ``preflight`` (default on) first asks the static analyser whether the
     red part can embed anywhere at all; a proof of unsatisfiability —
@@ -167,63 +209,70 @@ def embeddings(
             stats.bump(f"rewrite_{name}", value)
         if rewrite_report.static_false:
             stats.preflight_skips += 1
-            return BindingSet()
+            return Embeddings([], [], instance.graph.node_table())
     if preflight:
         from ..analysis.preflight import wglog_preflight
 
         stats.preflight_runs += 1
         if wglog_preflight(rule) is not None:
             stats.preflight_skips += 1
-            return BindingSet()
-    accessor = GraphAccessor(instance)
-
+            return Embeddings([], [], instance.graph.node_table())
+    graph = instance.graph
     core_ids, fragments = _split_negation(rule)
     pattern, path_edges = _red_pattern(rule, core_ids)
+    variables = list(pattern.nodes())
     engine = options.engine
-    match = (
-        find_homomorphisms_setwise if engine == "pipeline" else find_homomorphisms
+    spec = MatchSpec(
+        injective=injective, path_edges=path_edges, narrow=engine != "naive"
     )
-    base = MatchSpec(
-        injective=injective,
-        node_compat=_compat(rule, instance),
-        path_edges=path_edges,
-        narrow=engine != "naive",
-    )
-    results = BindingSet()
+    setwise = engine == "pipeline"
+    kept: list[tuple[int, ...]] = []
     with trace_span(stats.trace, "match", engine=engine, language="wglog"):
         try:
             if delta is not None and delta_restrictable(rule):
-                mappings = _delta_mappings(
-                    pattern, instance, base, match, delta, stats
-                )
+                rows = _delta_rows(pattern, graph, spec, setwise, delta, stats)
             else:
-                mappings = match(pattern, instance.graph, base, stats=stats)
-            for crossed, fragment in fragments:
-                mappings = _anti_join(
-                    list(mappings), rule, instance, crossed, fragment,
-                    base, match, stats,
+                rows = match_rows(
+                    pattern, graph, spec, stats, setwise=setwise,
+                    pools=_entity_pools(pattern, graph),
                 )
-            for mapping in mappings:
-                stats.candidates_tried += 1
-                if state is not None:
-                    state.charge()
-                binding = Binding(mapping)
-                ok = True
-                for condition in rule.conditions:
-                    stats.condition_checks += 1
-                    if not condition.evaluate(binding, accessor):
-                        ok = False
-                        break
-                if ok:
+            for crossed, fragment in fragments:
+                rows = _anti_join(
+                    rows, variables, rule, graph, crossed, fragment, spec,
+                    setwise, stats,
+                )
+            if state is None and not rule.conditions:
+                kept = rows
+                stats.candidates_tried += len(rows)
+                stats.bindings_produced += len(rows)
+            else:
+                accessor = GraphAccessor(instance)
+                table = graph.node_table()
+                for row in rows:
+                    stats.candidates_tried += 1
+                    if state is not None:
+                        state.charge()
+                    if rule.conditions:
+                        binding = Binding(
+                            dict(zip(variables, [table[i] for i in row]))
+                        )
+                        ok = True
+                        for condition in rule.conditions:
+                            stats.condition_checks += 1
+                            if not condition.evaluate(binding, accessor):
+                                ok = False
+                                break
+                        if not ok:
+                            continue
                     if state is not None:
                         state.check_bindings(stats.bindings_produced + 1)
-                    results.add(binding)
+                    kept.append(row)
                     stats.bindings_produced += 1
         except BudgetExceeded as exc:
             if state is None or not state.budget.partial:
                 raise
             mark_truncated(stats, exc.limit)
-    return results
+    return Embeddings(variables, kept, graph.node_table())
 
 
 # ---------------------------------------------------------------------------
@@ -310,11 +359,15 @@ def _split_negation(
 def _red_pattern(
     rule: RuleGraph, core_ids: set[str]
 ) -> tuple[LabeledGraph, set[Edge]]:
-    """The positive core red pattern as a LabeledGraph plus its path edges."""
+    """The positive core red pattern as a LabeledGraph plus its path edges.
+
+    Pattern nodes follow the rule's drawing order, so row columns (and the
+    planner's tie-breaks) do not depend on set iteration order.
+    """
     pattern = LabeledGraph()
-    for node_id in core_ids:
-        node = rule.nodes[node_id]
-        pattern.add_node(node_id, node.label or "*")
+    for node_id, node in rule.nodes.items():
+        if node_id in core_ids:
+            pattern.add_node(node_id, node.label or "*")
     path_edges: set[Edge] = set()
     for edge in rule.red_edges():
         if edge.crossed or edge.source not in core_ids or edge.target not in core_ids:
@@ -325,42 +378,43 @@ def _red_pattern(
     return pattern, path_edges
 
 
-def _compat(rule: RuleGraph, instance: InstanceGraph):
-    """Node compatibility: labels must agree and entities never bind slots."""
+def _entity_pools(
+    pattern: LabeledGraph, graph: LabeledGraph
+) -> dict[NodeId, list[int]]:
+    """Pools for the pattern's wildcard nodes: every entity, never a slot.
 
-    wanted_labels = {node.id: node.label for node in rule.nodes.values()}
-    label = instance.graph.label
-
-    def compat(pnode: NodeId, dnode: NodeId) -> bool:
-        wanted = wanted_labels[pnode]
-        actual = label(dnode)
-        if actual == SLOT_LABEL:
-            return wanted == SLOT_LABEL
-        return wanted is None or wanted == actual
-
-    return compat
+    Labelled pattern nodes draw their pools from the label's node column,
+    so only a wildcard needs one seeded.
+    """
+    wildcards = [p for p in pattern.nodes() if pattern.label(p) == "*"]
+    if not wildcards:
+        return {}
+    slots = set(graph.label_pool(SLOT_LABEL))
+    entities = [i for i in graph.label_pool() if i not in slots]
+    return {p: entities for p in wildcards}
 
 
 def _anti_join(
-    rows: list[dict[str, NodeId]],
+    rows: list[tuple[int, ...]],
+    variables: list[str],
     rule: RuleGraph,
-    instance: InstanceGraph,
+    graph: LabeledGraph,
     crossed: RuleEdge,
     fragment: set[str],
     base: MatchSpec,
-    match: Callable[..., Iterator[dict[str, NodeId]]],
+    setwise: bool,
     stats: EvalStats,
-) -> list[dict[str, NodeId]]:
+) -> list[tuple[int, ...]]:
     """Core rows with no embedding of one crossed edge's fragment.
 
     Fragment nodes are exactly the red nodes that appear only behind
     crossed edges, so the fragment pattern is the crossed edge alone, made
     positive, between its far node and its bound boundary node.  It is
-    matched once with the boundary pool seeded from the core rows; a row
-    survives when its boundary value is not among the hits.  Injective
-    mode keeps the far node off the boundary node.  A pairwise crossed
-    edge has an empty fragment: both endpoints are seeded boundary nodes
-    (one, for a self-loop).
+    matched once with the boundary pool seeded from the core rows'
+    columns; a row survives when its boundary value is not among the
+    hits.  Injective mode keeps the far node off the boundary node.  A
+    pairwise crossed edge has an empty fragment: both endpoints are seeded
+    boundary nodes (one, for a self-loop).
     """
     if not rows:
         return rows
@@ -370,21 +424,19 @@ def _anti_join(
         pattern.add_node(node_id, rule.nodes[node_id].label or "*")
     pattern.add_edge(crossed.source, crossed.target, crossed.label)
     edge = Edge(crossed.source, crossed.target, crossed.label)
-    spec = MatchSpec(
-        injective=base.injective,
-        node_compat=base.node_compat,
-        path_edges={edge} if crossed.path else set(),
-        narrow=base.narrow,
-        candidates={
-            node: list(dict.fromkeys(row[node] for row in rows))
-            for node in boundary
-        },
-    )
+    spec = replace(base, path_edges={edge} if crossed.path else set())
+    at = [variables.index(node) for node in boundary]
+    pools = _entity_pools(pattern, graph)
+    for node, column in zip(boundary, at):
+        pools[node] = list(dict.fromkeys(row[column] for row in rows))
+    hit_at = [list(pattern.nodes()).index(node) for node in boundary]
     hits = {
-        tuple(found[node] for node in boundary)
-        for found in match(pattern, instance.graph, spec, stats=stats)
+        tuple(found[i] for i in hit_at)
+        for found in match_rows(
+            pattern, graph, spec, stats, setwise=setwise, pools=pools
+        )
     }
-    kept = [row for row in rows if tuple(row[n] for n in boundary) not in hits]
+    kept = [row for row in rows if tuple(row[i] for i in at) not in hits]
     stats.bump("antijoin_dropped", len(rows) - len(kept))
     return kept
 
@@ -409,35 +461,45 @@ def delta_restrictable(rule: RuleGraph) -> bool:
     return all(node.id in touched for node in rule.red_nodes())
 
 
-def _delta_mappings(
+def _delta_rows(
     pattern: LabeledGraph,
-    instance: InstanceGraph,
-    base: MatchSpec,
-    match: Callable[..., Iterator[dict[str, NodeId]]],
-    delta: Sequence[Edge],
+    graph: LabeledGraph,
+    spec: MatchSpec,
+    setwise: bool,
+    marks: Mapping[str, int],
     stats: EvalStats,
-) -> list[dict[str, NodeId]]:
-    """Mappings that send at least one pattern edge onto a delta edge.
+) -> list[tuple[int, ...]]:
+    """Rows that send at least one pattern edge onto a delta edge.
 
-    One run per pattern edge, with that edge's relation restricted to the
-    delta edges of its label and its endpoint pools seeded from theirs;
-    a mapping found by several runs is kept once.
+    The delta of a label is the tail of its edge columns past
+    ``marks[label]`` (the whole column for a label without a mark).  One
+    run per pattern edge, with that edge's relation restricted to the
+    delta columns of its label and its endpoint pools seeded from them; a
+    row found by several runs is kept once.
     """
-    by_label: dict[str, dict[tuple[NodeId, NodeId], None]] = {}
-    for edge in delta:
-        by_label.setdefault(edge.label, {})[edge.source, edge.target] = None
-    found: dict[frozenset, dict[str, NodeId]] = {}
+    entities = _entity_pools(pattern, graph)
+    found: dict[tuple[int, ...], None] = {}
     for edge in pattern.edges():
-        pairs = by_label.get(edge.label)
-        if not pairs:
+        sources, targets = graph.edge_columns(edge.label)
+        mark = marks.get(edge.label, 0)
+        if len(sources) <= mark:
             continue
-        sources = dict.fromkeys(source for source, _ in pairs)
-        targets = dict.fromkeys(target for _, target in pairs)
+        sources, targets = sources[mark:], targets[mark:]
+        seeds = {edge.source: dict.fromkeys(sources)}
+        ends = dict.fromkeys(targets)
         if edge.source == edge.target:
-            candidates = {edge.source: [n for n in sources if n in targets]}
+            seeds[edge.source] = {n: None for n in seeds[edge.source] if n in ends}
         else:
-            candidates = {edge.source: list(sources), edge.target: list(targets)}
-        spec = replace(base, candidates=candidates, edge_pairs={edge: pairs.keys()})
-        for mapping in match(pattern, instance.graph, spec, stats=stats):
-            found.setdefault(frozenset(mapping.items()), mapping)
-    return list(found.values())
+            seeds[edge.target] = ends
+        pools = dict(entities)
+        for node, ids in seeds.items():
+            if node in entities:
+                allowed = set(entities[node])
+                ids = {n: None for n in ids if n in allowed}
+            pools[node] = list(ids)
+        rows = match_rows(
+            pattern, graph, spec, stats, setwise=setwise,
+            pools=pools, pairs={edge: (sources, targets)},
+        )
+        found.update(dict.fromkeys(rows))
+    return list(found)

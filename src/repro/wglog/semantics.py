@@ -39,10 +39,10 @@ from ..engine.bindings import Binding
 from ..engine.stats import EvalStats
 from ..errors import EvaluationError
 from ..graph.matching import MatchSpec, find_homomorphisms
-from ..graph.labeled_graph import Edge, LabeledGraph
+from ..graph.labeled_graph import LabeledGraph
 from .ast import Color, RuleGraph, RuleNode, SlotAssertion
-from .data import InstanceGraph
-from .matcher import delta_restrictable, embeddings
+from .data import SLOT_LABEL, InstanceGraph
+from .matcher import Embeddings, delta_restrictable, embeddings
 from .schema import WGSchema
 
 __all__ = [
@@ -100,14 +100,15 @@ def satisfies(
 class EdgeLog:
     """The semi-naive bookkeeping one rule application is handed.
 
-    ``edges`` is append-only: every edge rule instantiation added during
-    the program run, in order.  ``start`` marks where this rule's previous
-    application started matching, so ``edges[start:]`` is its delta;
-    ``None`` means the rule has not matched yet and matches in full.
+    The delta lives in the instance's own edge columns, which a program
+    run only appends to: ``start`` holds, per edge label, the column
+    length when this rule's previous application started matching
+    (:meth:`~repro.graph.labeled_graph.LabeledGraph.edge_marks`), so the
+    columns' tails past it are this rule's delta.  ``None`` means the rule
+    has not matched yet and matches in full.
     """
 
-    edges: list[Edge]
-    start: Optional[int] = None
+    start: Optional[dict[str, int]] = None
 
 
 def apply_rule(
@@ -124,28 +125,28 @@ def apply_rule(
     The returned count is the number of nodes + edges + slots added; zero
     means the instance already satisfied the rule.  ``delta`` (keyword
     only; see :func:`apply_program`) restricts matching to embeddings that
-    use an edge of ``delta.edges[delta.start:]`` and appends the edges
-    this application adds to ``delta.edges``.
+    use an edge added since ``delta.start``.
+
+    A rule whose green part is only edges between red nodes appends them
+    straight from the embeddings' row columns, one bulk append per green
+    edge; any other rule instantiates binding by binding.
     """
-    new_edges = None
-    if delta is not None and delta.start is not None:
-        new_edges = delta.edges[delta.start:]
-    matched = list(
-        embeddings(
-            rule, instance, schema=schema, injective=injective, stats=stats,
-            delta=new_edges,
-        )
+    matched = embeddings(
+        rule, instance, schema=schema, injective=injective, stats=stats,
+        delta=None if delta is None else delta.start,
     )
     plan = _GreenPlan(rule)
-    log = None if delta is None else delta.edges
+    if plan.bulk:
+        return _instantiate_edges(plan, instance, matched)
+    bindings = list(matched)
     additions = 0
-    for binding in matched:
+    for binding in bindings:
         # instantiation adds only missing edges and slots, so the full
         # check is needed only before it would create green nodes
         if plan.plain and _green_satisfied(plan, instance, binding):
             continue
-        additions += _instantiate_green(plan, instance, binding, log)
-    additions += _instantiate_collectors(rule, instance, matched)
+        additions += _instantiate_green(plan, instance, binding)
+    additions += _instantiate_collectors(rule, instance, bindings)
     return additions
 
 
@@ -172,13 +173,12 @@ def apply_program(
     """
     deltas: list[Optional[EdgeLog]] = [None] * len(rules)
     if all(semi_naive_eligible(rule) for rule in rules):
-        log: list[Edge] = []
-        deltas = [EdgeLog(log) for _ in rules]
+        deltas = [EdgeLog() for _ in rules]
     total = 0
     for _ in range(max_rounds):
         round_additions = 0
         for rule, delta in zip(rules, deltas):
-            start = None if delta is None else len(delta.edges)
+            start = instance.graph.edge_marks()
             round_additions += apply_rule(
                 instance, rule, schema=schema, injective=injective,
                 stats=stats, delta=delta,
@@ -239,6 +239,15 @@ class _GreenPlan:
             a for a in self.slots if rule.nodes[a.node].color is Color.RED
         ]
         self.embed = _GreenEmbedding(rule, self.plain) if self.plain else None
+        #: only green edges between red nodes, none leaving a slot: they
+        #: are appended in bulk from the row columns
+        self.bulk = (
+            not rule.green_nodes()
+            and not rule.slot_assertions
+            and all(
+                rule.nodes[e.source].label != SLOT_LABEL for e in self.edges
+            )
+        )
 
 
 class _GreenEmbedding:
@@ -355,16 +364,32 @@ def _green_satisfied(
     return plan.embed is None or plan.embed.exists(instance, binding)
 
 
-def _instantiate_green(
-    plan: _GreenPlan,
-    instance: InstanceGraph,
-    binding: Binding,
-    log: Optional[list[Edge]],
+def _instantiate_edges(
+    plan: _GreenPlan, instance: InstanceGraph, matched: Embeddings
 ) -> int:
-    """Add the per-embedding green structure; returns additions count.
+    """Append a bulk plan's green edges from the row columns.
 
-    Edges actually added are appended to ``log`` when one is kept.
+    Each green edge is one :meth:`~repro.graph.labeled_graph.LabeledGraph.add_edge_columns`
+    call over its endpoints' columns, which skips the pairs already
+    present; returns how many edges were new.
     """
+    rows = matched.rows
+    if not rows:
+        return 0
+    column = {node: i for i, node in enumerate(matched.columns)}
+    additions = 0
+    for edge in plan.edges:
+        source, target = column[edge.source], column[edge.target]
+        additions += instance.graph.add_edge_columns(
+            edge.label, [row[source] for row in rows], [row[target] for row in rows]
+        )
+    return additions
+
+
+def _instantiate_green(
+    plan: _GreenPlan, instance: InstanceGraph, binding: Binding
+) -> int:
+    """Add one binding's green structure; returns additions count."""
     additions = 0
     created: dict[str, NodeId] = {}
     for node in plan.plain:
@@ -376,15 +401,11 @@ def _instantiate_green(
         additions += 1
 
     values = {**binding, **created} if created else binding
-    graph = instance.graph
     for edge in plan.edges:
         source, target = values[edge.source], values[edge.target]
-        if graph.has_edge(source, target, edge.label):
-            continue
-        added = instance.relate(source, target, edge.label)
-        additions += 1
-        if log is not None:
-            log.append(added)
+        if not instance.has_relationship(source, target, edge.label):
+            instance.relate(source, target, edge.label)
+            additions += 1
     for assertion in plan.slots:
         target = values[assertion.node]
         value = _resolve_slot_value(instance, binding, assertion)

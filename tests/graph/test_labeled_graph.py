@@ -134,3 +134,31 @@ class TestBulk:
 
     def test_repr(self):
         assert "nodes=3" in repr(triangle())
+
+
+class TestInterleavedReads:
+    def test_reads_between_appends_rebuild_the_index_geometrically(
+        self, monkeypatch
+    ):
+        # a read after each append catches up with the appended tail; the
+        # CSR is rebuilt only when the tail outgrows it, not per read
+        from repro.graph import labeled_graph
+
+        rebuilds = []
+        original = labeled_graph._Adjacency._rebuild
+
+        def counted(self, column):
+            rebuilds.append(len(column))
+            original(self, column)
+
+        monkeypatch.setattr(labeled_graph._Adjacency, "_rebuild", counted)
+        g = LabeledGraph()
+        for node in range(2001):
+            g.add_node(node, "n")
+        for node in range(2000):
+            g.add_edge(node, node + 1, "next")
+            assert g.successors(node, "next") == [node + 1]
+            assert g.predecessors(node + 1, "next") == [node]
+        # out- and in-index each rebuild at most once per doubling
+        assert len(rebuilds) <= 2 * 11
+        assert g.successors(0, "next") == [1]

@@ -1,9 +1,20 @@
 """Unit tests for WG-Log instance graphs and schemas."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.errors import SchemaError
-from repro.wglog import InstanceGraph, SlotDecl, WGSchema
+from repro.wglog import InstanceGraph, SlotDecl, WGSchema, apply_rule, parse_rule
+
+TAG_RULE = (
+    "rule tag { match { i: Index  p: Page  i -index-> p } "
+    "construct { t: Tag  p -tagged-> t } }"
+)
 
 
 def site_instance() -> InstanceGraph:
@@ -87,6 +98,69 @@ class TestInstanceGraph:
     def test_describe_smoke(self):
         text = site_instance().describe()
         assert "home: Page" in text and "home -link-> about" in text
+
+
+class TestFreshIds:
+    """Generated ids never collide with ids already in the instance."""
+
+    def indexed_pages(self) -> InstanceGraph:
+        inst = InstanceGraph()
+        inst.add_entity("Index", "i")
+        for page in "abc":
+            inst.add_entity("Page", page)
+            inst.relate("i", page, "index")
+        return inst
+
+    def test_green_node_skips_an_explicit_id(self):
+        inst = self.indexed_pages()
+        inst.add_entity("Tag", "Tag#1")
+        assert apply_rule(inst, parse_rule(TAG_RULE)) == 6
+        assert inst.label("Tag#1") == "Tag"
+        assert inst.relationships("Tag#1") == []
+        assert len(inst.entities("Tag")) == 4
+        assert apply_rule(inst, parse_rule(TAG_RULE)) == 0
+
+    def test_slot_skips_an_explicit_id(self):
+        inst = InstanceGraph()
+        inst.add_entity("Page", "p")
+        inst.add_entity("Page", "p.title#1")
+        slot = inst.add_slot("p", "title", "Home")
+        assert slot != "p.title#1"
+        assert inst.label("p.title#1") == "Page"
+        assert not inst.is_slot("p.title#1")
+        assert inst.slot_value("p", "title") == "Home"
+
+
+DESCRIBE_COPY_AFTER_RULE = f"""
+from repro.wglog import InstanceGraph, apply_rule, parse_rule
+inst = InstanceGraph()
+inst.add_entity("Index", "i")
+for page in "abcdef":
+    inst.add_entity("Page", page)
+    inst.relate("i", page, "index")
+copy = inst.copy()
+apply_rule(copy, parse_rule({TAG_RULE!r}))
+print(copy.describe())
+sub = copy.graph.subgraph(set(copy.graph.nodes()))
+print(list(sub.nodes()))
+print([(e.source, e.target, e.label) for e in sub.edges()])
+"""
+
+
+def test_rule_on_a_copy_does_not_depend_on_the_hash_seed():
+    # copies and subgraphs keep insertion order, so green nodes get the
+    # same fresh ids under every hash seed
+    src = str(Path(repro.__file__).resolve().parents[1])
+    outputs = []
+    for seed in ("1", "3"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c", DESCRIBE_COPY_AFTER_RULE],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        outputs.append(done.stdout)
+    assert "b -tagged-> Tag#2" in outputs[0]
+    assert outputs[0] == outputs[1]
 
 
 class TestSlotDecl:

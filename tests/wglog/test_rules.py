@@ -190,27 +190,48 @@ class TestEmbeddings:
         embeddings(rule, library(), stats=stats)
         assert stats.bindings_produced == 4
 
+    def test_embeddings_are_a_binding_set_decoded_from_rows(self):
+        inst = library()
+        rule = RuleGraph()
+        rule.red("x", "Doc")
+        rule.red("y", "Doc")
+        rule.match_edge("x", "y", "index")
+        found = embeddings(rule, inst)
+        assert found.columns == ["x", "y"]
+        table = inst.graph.node_table()
+        assert [tuple(table[i] for i in row) for row in found.rows] == [
+            (b["x"], b["y"]) for b in found
+        ]
+        assert found.variables() == {"x", "y"}
+        assert len(found.join(found)) == len(found) > 0
+        assert "bindings over ['x', 'y']" in repr(found)
+
     def test_delta_restricts_each_edge_in_turn(self):
         # reach chain n0 -> n1 -> n2 -> n3 -> n4 with only (n1, n2) new:
         # the embeddings using it, at either pattern edge, and no other
+        # (the delta is the edges appended after the marks)
         inst = InstanceGraph()
         for number in range(5):
             inst.add_entity("N", f"n{number}")
-        edges = [inst.relate(f"n{i}", f"n{i + 1}", "reach") for i in range(4)]
+        for i in (0, 2, 3):
+            inst.relate(f"n{i}", f"n{i + 1}", "reach")
+        marks = inst.graph.edge_marks()
+        inst.relate("n1", "n2", "reach")
         rule = parse_rule(
             "rule r { match { a: N  b: N  c: N  a -reach-> b  b -reach-> c } }"
         )
         found = {
             (b["a"], b["b"], b["c"])
-            for b in embeddings(rule, inst, delta=[edges[1]])
+            for b in embeddings(rule, inst, delta=marks)
         }
         assert found == {("n0", "n1", "n2"), ("n1", "n2", "n3")}
-        assert len(embeddings(rule, inst, delta=[])) == 0
+        nothing_new = inst.graph.edge_marks()
+        assert len(embeddings(rule, inst, delta=nothing_new)) == 0
         # a crossed edge makes the restriction unsound: matched in full
         negated = parse_rule(
             "rule r { match { a: N  b: N  a -reach-> b  no b -link-> a } }"
         )
-        assert len(embeddings(negated, inst, delta=[])) == 4
+        assert len(embeddings(negated, inst, delta=nothing_new)) == 4
 
 
 class TestNegation:
