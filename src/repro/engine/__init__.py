@@ -24,7 +24,7 @@ from .joins import ColumnRelation, equijoin_key
 from .metrics import MetricsRegistry, global_registry
 from .narrowing import intersect_pools
 from .options import ExecOptions
-from .pipeline import connected_components, evaluate_forest, is_forest
+from .pipeline import connected_components, evaluate_forest
 from .planner import plan_order
 from .stats import EvalStats
 from .trace import Span, Tracer
@@ -37,6 +37,6 @@ __all__ = [
     "DocumentIndex", "DocumentIndexCache", "get_index", "invalidate",
     "shared_cache", "intersect_pools", "plan_order", "EvalStats",
     "ExecOptions", "ColumnRelation", "equijoin_key",
-    "connected_components", "evaluate_forest", "is_forest",
+    "connected_components", "evaluate_forest",
     "Span", "Tracer", "MetricsRegistry", "global_registry",
 ]

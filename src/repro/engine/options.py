@@ -12,11 +12,11 @@ document matcher, the WG-Log graph matcher, the evaluators and
     both held as int columns (:mod:`repro.engine.columns`); a
     Yannakakis-style semi-join reduction removes dangling candidates over
     a cost-chosen join tree, and hash joins assemble the final binding
-    set.  Fragments the pipeline cannot cover — undirected cycles,
-    ordered arcs, path edges, and XML-GL boxes with no
-    containment arc (nothing to semi-join) — run on the backtracking
-    core *per fragment*, so one uncooperative corner of a query does not
-    forfeit set-at-a-time evaluation for the rest.
+    set.  Every fragment runs this way: an edge that closes a cycle and
+    XML-GL's ordered arcs filter the assembled rows, and a WG-Log path
+    edge is a relation built by breadth-first search.  Only a fragment
+    that trips the ``max_hashjoin_rows`` cap re-runs on the backtracking
+    core.
   - ``"backtracking"``: the node-at-a-time core with interval-index
     candidate narrowing (differential oracle for the pipeline).
   - ``"naive"``: backtracking with indexes disabled — full scans and

@@ -21,20 +21,19 @@ and assemble the answers with hash joins.  The reduction guarantees that
 assembly never extends a row that cannot reach a final answer — the
 set-at-a-time counterpart of a backtracking search that never backtracks.
 
-The pipeline only accepts **forests** (acyclic join structure); callers
-detect cyclic fragments with :func:`is_forest` /
-:func:`connected_components` and fall back to their backtracking core for
-those, per fragment.  :func:`run_fragment` is the one driver both matchers
-run each fragment through: it makes that pipeline-or-fallback choice, and
-it degrades a fragment that trips the ``max_hashjoin_rows`` cap to the
-fallback (:func:`degrade`, step 1 of the ladder in
-:mod:`repro.engine.limits`).
+Any join graph is accepted.  A relation the join tree does not use as a
+parent link — a second parent, a parallel edge, a self-loop — closes a
+cycle; it is applied to the assembled rows as a pair-set filter.
+:func:`run_fragment` runs every fragment of both matchers; it degrades
+a fragment that trips the ``max_hashjoin_rows`` cap to the fragment's
+backtracking fallback (:func:`degrade`, step 1 of the
+ladder in :mod:`repro.engine.limits`).
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Any, Callable, Hashable, Iterable, Optional, Sequence
+from typing import Any, Callable, Hashable, Iterable, Sequence
 
 from ..errors import BudgetExceeded
 from .joins import ColumnRelation, join_forest, semijoin_reduce
@@ -45,7 +44,6 @@ from .trace import span as trace_span
 __all__ = [
     "connected_components",
     "degrade",
-    "is_forest",
     "evaluate_forest",
     "relation_for",
     "run_fragment",
@@ -81,34 +79,21 @@ def connected_components(
     return list(groups.values())
 
 
-def is_forest(variables: Iterable[Var], edges: Sequence[tuple[Var, Var]]) -> bool:
-    """Whether the undirected (multi)graph is acyclic.
-
-    Parallel edges and self-loops count as cycles — exactly the cases the
-    semi-join tree cannot represent.
-    """
-    variable_list = list(variables)
-    if any(left == right for left, right in edges):
-        return False
-    components = connected_components(variable_list, edges)
-    # A forest has exactly |V| - #components edges; multigraph double
-    # edges push the count past that.
-    return len(edges) == len(variable_list) - len(components)
-
-
 def evaluate_forest(
     pools: dict[Var, array],
     relations: Sequence[ColumnRelation],
     stats: EvalStats,
     planner_enabled: bool = True,
 ) -> tuple[list[Var], list[list[int]]]:
-    """All assignments of a forest-shaped join query, set-at-a-time.
+    """All assignments of a join query, set-at-a-time.
 
     Args:
         pools: sorted int column per variable (consumed; reduced in place).
-        relations: one :class:`ColumnRelation` per pattern edge; the
-            undirected graph they induce over ``pools``' keys must be a
-            forest (:func:`is_forest`), else ``ValueError``.
+        relations: one :class:`ColumnRelation` per pattern edge, over
+            ``pools``' keys, in any shape.  The relations the planner
+            places as parent links form a join forest; every other one
+            (a second parent, a parallel edge, a self-loop) filters the
+            assembled rows.
         stats: semi-join / hash-join counters accumulate here.
         planner_enabled: when False, keep the pools' insertion order as the
             join order (planner ablation).
@@ -146,14 +131,12 @@ def evaluate_forest(
         for var in order:
             for relation in relations_by_var[var]:
                 other = relation.other(var)
-                if other in placed:
-                    if var in parent_of:
-                        raise ValueError(
-                            "cyclic join structure: "
-                            f"variable {var!r} reaches two placed parents"
-                        )
+                if other in placed and var not in parent_of:
                     parent_of[var] = (other, relation)
             placed.add(var)
+        links = {id(relation) for _, relation in parent_of.values()}
+        tree = [r for r in relations if id(r) in links]
+        closing = [r for r in relations if id(r) not in links]
         if plan_span is not None:
             plan_span["order"] = [str(var) for var in order]
             plan_span["pool_sizes"] = {
@@ -165,9 +148,19 @@ def evaluate_forest(
             ]
             plan_span["planner"] = "cost" if planner_enabled else "input-order"
 
-    if not semijoin_reduce(pools, relations, order, parent_of, stats):
+    if not semijoin_reduce(pools, tree, order, parent_of, stats):
         return list(order), []
-    return list(order), join_forest(pools, order, parent_of, stats)
+    rows = join_forest(pools, order, parent_of, stats)
+    for relation in closing:
+        if not rows:
+            break
+        if stats.budget is not None:
+            stats.budget.charge(len(rows))
+        pairs = set(zip(relation.left, relation.right))
+        left_at = order.index(relation.left_var)
+        right_at = order.index(relation.right_var)
+        rows = [row for row in rows if (row[left_at], row[right_at]) in pairs]
+    return list(order), rows
 
 
 def relation_for(
@@ -195,50 +188,40 @@ def relation_for(
 def run_fragment(
     stats: EvalStats,
     variables: Sequence[Var],
-    reason: Optional[str],
     setwise: Callable[[], list[Any]],
     fallback: Callable[[], list[Any]],
 ) -> list[Any]:
-    """Evaluate one query fragment on the pipeline or its fallback.
+    """Evaluate one query fragment on the pipeline.
 
-    ``reason`` is the fragment's static fallback reason (``None`` when the
-    pipeline covers it; ``setwise`` is then called).  Otherwise, or when
-    ``setwise`` trips ``max_hashjoin_rows``, the fragment's own
-    backtracking ``fallback`` runs instead.  Every other
+    ``setwise`` runs first; when it trips ``max_hashjoin_rows`` the
+    fragment's own backtracking ``fallback`` runs instead.  Every other
     :class:`~repro.errors.BudgetExceeded` propagates.  Both callables
     return the fragment's rows.
 
     This is the only place that opens the ``match.fragment`` span
     (``decision``, ``reason``, ``rows``) and bumps
-    ``pipeline_fragments`` / ``pipeline_fallbacks`` /
-    ``fallback_<reason>``; reason strings are the stable identifiers
-    EXPLAIN output shares.
+    ``pipeline_fragments``; a degraded fragment reports decision
+    ``fallback`` with reason ``budget``, the string EXPLAIN output shares.
     """
     names = [str(var) for var in variables]
     with trace_span(
         stats.trace,
         "match.fragment",
         variables=names,
-        decision="pipeline" if reason is None else "fallback",
-        reason=reason,
+        decision="pipeline",
+        reason=None,
     ) as fragment_span:
-        rows = None
-        if reason is None:
-            stats.pipeline_fragments += 1
-            rows_before = 0 if stats.budget is None else stats.budget.rows
-            try:
-                rows = setwise()
-            except BudgetExceeded as exc:
-                if exc.limit != "max_hashjoin_rows":
-                    raise
-                degrade(stats, rows_before, variables=names)
-                if fragment_span is not None:
-                    fragment_span["decision"] = "fallback"
-                    fragment_span["reason"] = "budget"
-        else:
-            stats.pipeline_fallbacks += 1
-            stats.bump(f"fallback_{reason}")
-        if rows is None:
+        stats.pipeline_fragments += 1
+        rows_before = 0 if stats.budget is None else stats.budget.rows
+        try:
+            rows = setwise()
+        except BudgetExceeded as exc:
+            if exc.limit != "max_hashjoin_rows":
+                raise
+            degrade(stats, rows_before, variables=names)
+            if fragment_span is not None:
+                fragment_span["decision"] = "fallback"
+                fragment_span["reason"] = "budget"
             rows = fallback()
         if fragment_span is not None:
             fragment_span["rows"] = len(rows)
@@ -250,8 +233,8 @@ def degrade(stats: EvalStats, rows_before: int, **attributes: Any) -> None:
 
     The abandoned rows are refunded (``budget.rows`` back to
     ``rows_before``) so sibling fragments keep their headroom — those rows
-    were discarded, not kept.  Records the fallback reason ``budget`` like
-    a static reason, plus the governance counter ``degraded_fragments``,
+    were discarded, not kept.  Records the fallback reason ``budget``
+    (``fallback_budget``), plus the governance counter ``degraded_fragments``,
     and emits a ``degraded`` trace event carrying ``attributes``.
     """
     stats.pipeline_fallbacks += 1

@@ -34,9 +34,9 @@ counted separately from per-candidate trial-and-error:
   cross-fragment equi-joins);
 * ``relation_pairs`` — pairs materialised in binary edge relations;
 * ``pipeline_fragments`` — query fragments evaluated set-at-a-time;
-* ``pipeline_fallbacks`` — fragments handed back to the backtracking core
-  (cyclic, ordered, negated, path-edge or edge-free fragments, and
-  ``budget`` for a row-cap degradation);
+* ``pipeline_fallbacks`` — fragments degraded by the row cap: handed
+  back to the backtracking core after tripping ``max_hashjoin_rows``
+  (reason ``budget``, counted again in ``extra["fallback_budget"]``);
 * ``cache_hits`` / ``cache_misses`` — shared
   :class:`~repro.engine.cache.DocumentIndexCache` lookups served from /
   missing the cache during this evaluation;

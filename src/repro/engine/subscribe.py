@@ -19,17 +19,17 @@ the ancestors-or-self of every edit point when ``n`` is the parent of a
 crossed arc or a ``ContentOf`` condition reads it, plus the elements
 whose immediate text or attributes changed when a circle hangs under
 it or an ``AttributeOf`` reads it.  Arcs between unchanged nodes do not
-change, and a crossed arc only filters its parent's pool, so every
+change, nor does their document order (which ordered arcs read), and a
+crossed arc only filters its parent's pool, so every
 added row binds some box ``n`` inside ``A_n``, and every removed row
 binds a deleted element or some box inside ``A_n``.  The rule therefore
 runs once per box with only that box's pool cut to ``A_n``
 (:func:`repro.xmlgl.matcher.match_within`) and unions the rows by key.
 The candidates for removal are the stored rows that bind a deleted
 element or a pre-existing node of some ``A_n``: ``removed`` is those
-the union lacks, ``added`` the union's rows not stored.  Ordered arcs,
-multi-graph rules,
-a budget trip and a stored set that a ``partial`` budget truncated fall
-back to one full re-run, counted per reason in
+the union lacks, ``added`` the union's rows not stored.  Multi-graph
+rules, a budget trip and a stored set that a ``partial`` budget
+truncated fall back to one full re-run, counted per reason in
 :attr:`Subscription.fallbacks` (``delta_fallback_<reason>``).  Either
 way the rows are diffed by :meth:`~repro.engine.bindings.Binding.key`
 into a :class:`ResultDelta` — the rows a consumer must add and remove to
@@ -242,16 +242,6 @@ _SUBTREE = 1
 _OWN = 2
 
 
-def _delta_blocker(rule: Any) -> Optional[str]:
-    """Why ``rule`` re-runs in full on every relevant commit (``None``
-    when it takes the delta route)."""
-    if len(rule.queries) != 1:
-        return "multi_source"
-    if any(edge.ordered for edge in rule.queries[0].all_edges()):
-        return "ordered"
-    return None
-
-
 def _box_reads(rule: Any) -> dict[str, tuple[int, Optional[str]]]:
     """``(reads, tag)`` of every element box of a single-graph rule, its
     reads the ``_SUBTREE``/``_OWN`` flags."""
@@ -394,7 +384,8 @@ class Subscription:
         #: The rewritten rule's read set — what :meth:`notify` checks
         #: batches against.
         self.footprint = QueryFootprint.of_rule(rule)
-        self._blocker = _delta_blocker(rule)
+        #: Why every relevant commit re-runs in full (``None``: delta route).
+        self._blocker = None if len(rule.queries) == 1 else "multi_source"
         self._reads_plan: Any = None
         self._reads: dict[str, tuple[int, Optional[str]]] = {}
         self._lock = threading.Lock()

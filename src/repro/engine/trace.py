@@ -36,7 +36,7 @@ span / event              recorded by
 ``match``                 evaluator / WG-Log ``embeddings`` (attr ``engine``)
 ``match.fragment``        per connected query fragment (attrs ``variables``,
                           ``decision``: pipeline / fallback, ``reason``
-                          on fallbacks, ``rows``)
+                          ``budget`` on a row-cap fallback, ``rows``)
 ``fragment.pools``        XML-GL pool construction (attr ``sizes``)
 ``fragment.relations``    edge-relation build (attr ``pairs``)
 ``plan``                  :func:`repro.engine.pipeline.evaluate_forest`

@@ -6,10 +6,10 @@ users must be able to inspect what a drawn query actually did.  This module
 is that surface: :func:`explain` evaluates a rule with tracing enabled and
 digests the recorded span tree (:mod:`repro.engine.trace`) into an
 :class:`Explanation` that renders — as text or JSON — the cost-chosen join
-forest, every fragment's engine decision (pipeline vs. backtracking
-fallback, with the reason: ``edge-free`` / ``ordered`` / ``cyclic``),
-and the candidate-pool sizes before and after each semi-join
-pass.
+forest, every fragment's engine decision (the pipeline, or the
+backtracking fallback of a fragment that tripped the row cap, reason
+``budget``), and the candidate-pool sizes before and after each
+semi-join pass.
 
 This is ``EXPLAIN ANALYZE``, not a dry run: the plan the pipeline chooses
 depends on actual pool sizes, so the honest report requires executing the

@@ -17,8 +17,10 @@ pattern/data pairs; XML documents are matched by a specialised tree matcher
 in :mod:`repro.xmlgl.matcher` that shares the same planner.  Its
 set-at-a-time counterpart, :func:`match_rows`, reads the data graph's int
 columns (per-label node ids and edge columns) and returns rows of dense
-node ids; the backtracking matcher stays the oracle it is checked against
-and reads only the public accessors.
+node ids for every pattern shape: cycles filter the joined rows, and a
+path edge is a relation found by breadth-first search.  The backtracking
+matcher stays the oracle it is checked against and reads only the public
+accessors.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from ..engine.narrowing import intersect_pools
 from ..engine.pipeline import (
     connected_components,
     evaluate_forest,
-    is_forest,
     relation_for,
     run_fragment,
 )
@@ -290,13 +291,11 @@ def match_rows(
     direct pattern edge to the listed ``(sources, targets)`` columns;
     ``spec.candidates`` and ``spec.edge_pairs`` are not read.
 
-    With ``setwise`` (the default), pattern components whose direct-edge
-    skeleton is a forest are compiled to pools plus edge relations and
-    evaluated through :func:`repro.engine.pipeline.evaluate_forest`
-    (semi-join reduction, then hash joins).  Components the pipeline
-    cannot cover — cyclic skeletons, path edges — fall back to the
-    backtracking matcher; :func:`repro.engine.pipeline.run_fragment`
-    drives that choice per component and tallies it.  Without
+    With ``setwise`` (the default), every pattern component is compiled
+    to pools plus edge relations and evaluated through
+    :func:`repro.engine.pipeline.evaluate_forest`, driven by
+    :func:`repro.engine.pipeline.run_fragment`; only a component that
+    trips the row cap re-runs on the backtracking matcher.  Without
     ``setwise`` the whole pattern runs on :func:`find_homomorphisms` (the
     oracle engines), its mappings encoded as rows.
 
@@ -328,7 +327,6 @@ def match_rows(
         rows = run_fragment(
             stats,
             nodes,
-            _setwise_fallback_reason(component, edges, spec),
             partial(
                 _setwise_component, pattern, nodes, edges, data, subspec,
                 pools, pairs, stats,
@@ -425,26 +423,11 @@ def _backtrack_component(
     pairs: dict[Edge, tuple[Sequence[int], Sequence[int]]],
     stats: EvalStats,
 ) -> list[tuple[int, ...]]:
-    """One component node-at-a-time: the fallback of the pipeline route."""
+    """One component node-at-a-time: the pipeline's row-cap fallback."""
     found = find_homomorphisms(
         pattern.subgraph(nodes), data, _node_spec(spec, data, pools, pairs), stats
     )
     return _encode(data, nodes, found)
-
-
-def _setwise_fallback_reason(
-    component: set[NodeId], edges: list[Edge], spec: MatchSpec
-) -> Optional[str]:
-    """Why one component cannot run on the pipeline (``None`` = it can).
-
-    Reason strings are stable identifiers shared with EXPLAIN output and
-    the ``fallback_<reason>`` counters.
-    """
-    if any(e in spec.path_edges for e in edges):
-        return "path-edge"
-    if not is_forest(component, [(e.source, e.target) for e in edges]):
-        return "cyclic"
-    return None
 
 
 def _setwise_component(
@@ -466,7 +449,8 @@ def _setwise_component(
     ``spec.node_compat`` replaces both filters.  A relation is the edge
     label's columns filtered by the two pools, read through the label's
     adjacency index instead when one pool is much smaller than the
-    label; a restricted relation is its pairs filtered by the pools.
+    label; a restricted relation is its pairs filtered by the pools, and
+    a path edge's relation the pairs :func:`_path_pairs` reaches.
     """
     budget = stats.budget
     pools: dict[NodeId, array] = {}
@@ -486,7 +470,9 @@ def _setwise_component(
         source_set = pool_sets[edge.source]
         target_set = pool_sets[edge.target]
         pairs = restricted.get(edge)
-        if pairs is None:
+        if edge in spec.path_edges:
+            pairs = _path_pairs(data, edge, pools, stats)
+        elif pairs is None:
             pairs = data.edge_columns(edge.label)
             smaller = min(len(source_set), len(target_set))
             if smaller * _ADJACENCY_RATIO < len(pairs[0]):
@@ -529,6 +515,42 @@ def _adjacent_pairs(
             left.extend(sources)
             right.extend([target] * len(sources))
     return left, right
+
+
+def _path_pairs(
+    data: LabeledGraph, edge: Edge, pools: dict[NodeId, array], stats: EvalStats
+) -> tuple[array, array]:
+    """The node pairs joined by a non-empty directed path of ``edge.label``
+    edges (of every label when it is empty), for the smaller pool's nodes.
+
+    One breadth-first search with a visited set per node of that pool:
+    forward over the label's successors from the source pool, backward
+    over its predecessors from the target pool.  A start node is reached
+    only through a cycle.  Each visited node charges one budget unit.
+    """
+    budget = stats.budget
+    labels = [edge.label] if edge.label else list(data.edge_marks())
+    forward = len(pools[edge.source]) <= len(pools[edge.target])
+    step = data.dense_successors if forward else data.dense_predecessors
+    starts = array("i")
+    reached = array("i")
+    for start in pools[edge.source if forward else edge.target]:
+        seen: set[int] = set()
+        frontier = [start]
+        while frontier:
+            found = []
+            for current in frontier:
+                for label in labels:
+                    for node in step(current, label):
+                        if node not in seen:
+                            seen.add(node)
+                            found.append(node)
+            frontier = found
+            if budget is not None:
+                budget.charge(len(found))
+        starts.extend([start] * len(seen))
+        reached.extend(sorted(seen))
+    return (starts, reached) if forward else (reached, starts)
 
 
 def _pool(

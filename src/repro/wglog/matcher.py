@@ -158,9 +158,11 @@ def embeddings(
     flagged ``stats.extra["truncated"]``.
 
     ``options.engine`` picks the evaluation strategy: the set-at-a-time
-    pipeline (default; forest-shaped rule fragments reduce by semi-joins,
-    the rest falls back per fragment), the node-at-a-time backtracking
-    core, or the narrowing-free naive scan (the ablation baseline).  Each
+    pipeline (default; every rule fragment reduces by semi-joins, a path
+    edge joins as a relation found by breadth-first search, and an edge
+    closing a cycle filters the joined rows), the node-at-a-time
+    backtracking core, or the narrowing-free naive scan (the ablation
+    baseline).  Each
     crossed edge is one anti-join on the same engine: its fragment is
     matched once, seeded with the boundary values the core rows bind, and
     every core row whose boundary tuple it hits is dropped.  A pairwise

@@ -37,8 +37,8 @@ chosen, the resulting plain graph matched, and the binding sets unioned
 
 Matching is split into two phases.  :func:`compile_graph` performs every
 document-independent analysis once — validation, condition-scope checks,
-or-group branch expansion, edge classification, fragment discovery with
-hard-fallback reasons, condition pushdown assignment — producing a
+or-group branch expansion, edge classification, fragment discovery,
+condition pushdown assignment — producing a
 :class:`CompiledGraphPlan` that :func:`match` accepts via ``plan=`` so
 repeated queries (through the plan cache,
 :mod:`repro.engine.plan_cache`) skip the analysis entirely.  Document-
@@ -48,17 +48,17 @@ Three engines share this module (``ExecOptions.engine``):
 
 * ``"pipeline"`` (default) evaluates **set-at-a-time**: the paper's
   queries-are-graphs idiom makes every extract graph a relational join
-  plan, so each acyclic query fragment is compiled to per-box candidate
-  pools (from the :class:`~repro.engine.index.DocumentIndex`) plus binary
-  edge relations, single-box predicates and required circles are pushed
-  down into the pools, a Yannakakis semi-join reduction removes dangling
+  plan, so each query fragment is compiled to per-box candidate pools
+  (from the :class:`~repro.engine.index.DocumentIndex`) plus binary edge
+  relations, single-box predicates and required circles are pushed down
+  into the pools, a Yannakakis semi-join reduction removes dangling
   candidates over a cost-chosen join tree, and hash joins assemble the
-  binding set.  Value joins — ``=`` conditions linking otherwise
-  disconnected fragments — become hash equi-joins instead of filtered
-  cross products.  Fragments the pipeline cannot cover (undirected cycles,
-  ordered arcs) fall back to the backtracking core *per fragment*
-  (counted in ``stats.pipeline_fallbacks``), and so do boxes with no
-  containment arc: they have nothing to semi-join.
+  binding set.  An arc that closes an undirected cycle filters the
+  assembled rows, and so do ordered arcs; a box with no arc is its pool.
+  Value joins — ``=`` conditions linking otherwise disconnected
+  fragments — become hash equi-joins instead of filtered cross products.
+  Only a fragment that trips the ``max_hashjoin_rows`` cap re-runs on
+  the backtracking core (counted in ``stats.pipeline_fallbacks``).
 * ``"backtracking"`` is the node-at-a-time core: boxes ordered with
   :func:`repro.engine.planner.plan_order`, candidates narrowed dynamically
   from already-assigned neighbours via the interval-encoded index
@@ -102,7 +102,6 @@ from ..engine.pipeline import (
     connected_components,
     degrade,
     evaluate_forest,
-    is_forest,
     relation_for,
     run_fragment,
 )
@@ -351,8 +350,8 @@ class _BranchPlan:
     constrained_circles: dict[str, list[object]]
     #: Ids of the private circle copies :func:`_split_shared_circles` made.
     private: frozenset[str]
-    #: ``(ids, edges, hard_fallback_reason)`` per connected fragment.
-    components: list[tuple[list[str], list[ContainmentEdge], Optional[str]]]
+    #: ``(ids, edges)`` per connected fragment.
+    components: list[tuple[list[str], list[ContainmentEdge]]]
     pushed: dict[str, list[Condition]]
     consumed: frozenset[int]
     #: Per-fragment locals cache, keyed by the fragment's id tuple.  Filled
@@ -445,7 +444,7 @@ def _compile_branch(graph: QueryGraph) -> Optional[_BranchPlan]:
         if child.value is not None or child.compiled_regex is not None:
             constrained_circles.setdefault(edge.parent, []).append(child)
 
-    components: list[tuple[list[str], list[ContainmentEdge], Optional[str]]] = []
+    components: list[tuple[list[str], list[ContainmentEdge]]] = []
     for component in connected_components(
         element_ids, [(e.parent, e.child) for e in element_edges]
     ):
@@ -455,7 +454,7 @@ def _compile_branch(graph: QueryGraph) -> Optional[_BranchPlan]:
             for e in element_edges
             if e.parent in component and e.child in component
         ]
-        components.append((ids, edges, _fallback_reason(component, edges)))
+        components.append((ids, edges))
 
     pushed, consumed = _push_down_conditions(graph, element_ids, values_by_parent)
     return _BranchPlan(
@@ -846,16 +845,15 @@ def _fragment_bindings(
 # ---------------------------------------------------------------------------
 
 def _match_pipeline(prep: _Prep) -> Iterator[Binding]:
-    """The set-at-a-time engine: semi-join pipeline with per-fragment
-    fallback; see the module docstring for the plan shape."""
+    """The set-at-a-time engine: one semi-join pipeline per fragment; see
+    the module docstring for the plan shape."""
     branch = prep.branch
     graph, stats = prep.graph, prep.stats
     fragments: list[tuple[set[str], list[dict[str, object]]]] = []
-    for ids, edges, fallback_reason in branch.components:
+    for ids, edges in branch.components:
         rows = run_fragment(
             stats,
             ids,
-            fallback_reason,
             partial(_setwise_fragment, prep, ids, edges),
             partial(_fallback_fragment, prep, ids),
         )
@@ -905,32 +903,9 @@ def _match_pipeline(prep: _Prep) -> Iterator[Binding]:
         yield Binding(row)
 
 
-def _fallback_reason(
-    component: set[str], edges: list[ContainmentEdge]
-) -> Optional[str]:
-    """Why one fragment cannot run on the semi-join pipeline (or ``None``).
-
-    Ordered arcs (an n-ary constraint over siblings) and cyclic /
-    multi-edge skeletons stay on the backtracking core.  So does
-    a box with no containment arc (``edge-free``): with nothing to
-    semi-join, a set-at-a-time run would only turn the pool into a label
-    column and straight back into elements.  The rule reads the query
-    graph alone, so it is decided at compile time.  The returned reason
-    string is stable — EXPLAIN output, fallback counters
-    (``stats.extra["fallback_<reason>"]``) and the trace all carry it.
-    """
-    if any(e.ordered for e in edges):
-        return "ordered"
-    if not edges:
-        return "edge-free"
-    if not is_forest(component, [(e.parent, e.child) for e in edges]):
-        return "cyclic"
-    return None
-
-
 def _fallback_fragment(prep: _Prep, ids: Sequence[str]) -> list[dict[str, object]]:
-    """One fragment on the backtracking core: the pipeline route's fallback,
-    for a static fallback reason and a row-cap degradation alike.
+    """One fragment on the backtracking core: the pipeline route's fallback
+    when the fragment trips the row cap.
 
     Conditions consumed by push-down never reach the final filter, so they
     filter their box's candidate pool here — otherwise rows the pipeline
@@ -969,7 +944,7 @@ def _push_down_conditions(
     the final binding, so it filters the pool before any join.  Every box
     consumes its conditions, whatever engine its fragment runs on:
     set-at-a-time fragments filter pools in :func:`_filtered_pool`,
-    backtracking fragments through :func:`_fallback_fragment`.  Returns the
+    degraded fragments through :func:`_fallback_fragment`.  Returns the
     per-box pushed conditions and the set of consumed condition indexes.
     """
     clusters = {
@@ -993,14 +968,15 @@ def _push_down_conditions(
 def _setwise_fragment(
     prep: _Prep, ids: list[str], edges: list[ContainmentEdge]
 ) -> list[dict[str, object]]:
-    """Evaluate one acyclic fragment set-at-a-time.
+    """Evaluate one fragment set-at-a-time.
 
     Pools are filtered by required circles and pushed-down predicates and
     become sorted label columns; edge relations are materialised by the
     interval kernels (:mod:`repro.engine.columns`), then reduced and
-    hash-joined by :func:`repro.engine.pipeline.evaluate_forest`.  Node
-    objects are looked up in the index's ``label -> element`` map only
-    for the surviving assembled rows.
+    hash-joined by :func:`repro.engine.pipeline.evaluate_forest`.  A box
+    with no arc has no relation, so its pool is its rows.  Node objects
+    are looked up in the index's ``label -> element`` map only for the
+    surviving assembled rows, which ordered arcs then filter.
     """
     stats, index = prep.stats, prep.index
     values_by_parent, pushed = prep.branch.values_by_parent, prep.branch.pushed
@@ -1050,6 +1026,7 @@ def _setwise_fragment(
         pools, relations, stats, planner_enabled=prep.options.use_planner
     )
     element_of = index.element_map()
+    ordered_groups = prep.branch.fragment_locals(ids).ordered_groups
     rows: list[dict[str, object]] = []
     for int_row in int_rows:
         row: dict[str, object] = {}
@@ -1059,6 +1036,8 @@ def _setwise_fragment(
             extra = value_rows[var].get(id(element))
             if extra:
                 row.update(extra)
+        if ordered_groups and not _ordered_ok(ordered_groups, row, index, stats):
+            continue
         rows.append(row)
     return rows
 
@@ -1328,7 +1307,7 @@ def _narrowed_labels(
     for lo, hi in intervals:
         seed.extend(column[bisect_left(column, lo):bisect_right(column, hi)])
     labels = {node_id: seed}
-    ids = next(ids for ids, _edges, _reason in branch.components if node_id in ids)
+    ids = next(ids for ids, _edges in branch.components if node_id in ids)
     edges_by_endpoint = branch.fragment_locals(ids).edges_by_endpoint
     frontier = [node_id]
     while frontier:

@@ -1,6 +1,7 @@
 """Unit tests for the set-at-a-time join layer (joins.py + pipeline.py)."""
 
 from array import array
+from itertools import product
 
 import pytest
 
@@ -13,7 +14,6 @@ from repro.engine.joins import (
 from repro.engine.pipeline import (
     connected_components,
     evaluate_forest,
-    is_forest,
     relation_for,
 )
 from repro.engine.stats import EvalStats
@@ -152,18 +152,87 @@ class TestForestHelpers:
             ["a", "b"], ["c"], ["d"],
         ]
 
-    def test_is_forest_accepts_trees_and_forests(self):
-        assert is_forest(["a", "b", "c"], [("a", "b"), ("a", "c")])
-        assert is_forest(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
-        assert is_forest(["a"], [])
+def brute_force(pools, pairs):
+    """Every assignment of the pools' product that satisfies each
+    ``(left_var, right_var, pair list)`` relation, as sorted item tuples."""
+    variables = list(pools)
+    found = []
+    for values in product(*(pools[v] for v in variables)):
+        row = dict(zip(variables, values))
+        if all((row[left], row[right]) in set(p) for left, right, p in pairs):
+            found.append(tuple(sorted(row.items())))
+    return sorted(found)
 
-    def test_is_forest_rejects_cycles(self):
-        assert not is_forest(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")])
 
-    def test_is_forest_rejects_parallel_edges_and_self_loops(self):
-        assert not is_forest(["a", "b"], [("a", "b"), ("a", "b")])
-        assert not is_forest(["a", "b"], [("b", "a"), ("a", "b")])
-        assert not is_forest(["a"], [("a", "a")])
+class TestCyclicJoinGraphs:
+    """Relations the join tree does not place filter the assembled rows."""
+
+    def run(self, pools, pairs, planner_enabled=True):
+        stats = EvalStats()
+        relations = [rel(left, right, p, stats) for left, right, p in pairs]
+        order, rows = evaluate_forest(
+            {v: col(*c) for v, c in pools.items()}, relations, stats,
+            planner_enabled=planner_enabled,
+        )
+        return sorted(tuple(sorted(r.items())) for r in as_dicts(order, rows))
+
+    @pytest.mark.parametrize("planner_enabled", [True, False])
+    @pytest.mark.parametrize(
+        "pools,pairs",
+        [
+            pytest.param(
+                {"a": [1, 2], "b": [10, 11], "c": [100, 101]},
+                [
+                    ("a", "b", [(1, 10), (1, 11), (2, 11)]),
+                    ("b", "c", [(10, 100), (11, 100), (11, 101)]),
+                    ("c", "a", [(100, 1), (101, 2)]),
+                ],
+                id="triangle",
+            ),
+            pytest.param(
+                {"a": [1, 2, 3], "b": [10, 11]},
+                [
+                    ("a", "b", [(1, 10), (2, 10), (2, 11), (3, 11)]),
+                    ("b", "a", [(10, 2), (11, 3), (11, 1)]),
+                ],
+                id="parallel-pair",
+            ),
+            pytest.param(
+                {"a": [1, 2, 3], "b": [10, 11]},
+                [
+                    ("a", "b", [(1, 10), (2, 10), (3, 11)]),
+                    ("a", "a", [(1, 1), (2, 3), (3, 3)]),
+                ],
+                id="self-loop",
+            ),
+        ],
+    )
+    def test_rows_equal_brute_force(self, pools, pairs, planner_enabled):
+        expected = brute_force(pools, pairs)
+        assert expected  # each case keeps some rows and drops others
+        assert len(expected) < len(brute_force(pools, pairs[:1]))
+        assert self.run(pools, pairs, planner_enabled) == expected
+
+    def test_lone_self_loop_is_not_dropped(self):
+        # the variable's only relation is its self-loop: no tree link
+        assert self.run({"a": [1, 2, 3]}, [("a", "a", [(1, 1), (2, 3)])]) == [
+            (("a", 1),),
+        ]
+
+    def test_only_tree_links_are_semi_joined(self):
+        stats = EvalStats()
+        relations = [
+            rel("a", "b", [(1, 10), (2, 11)], stats),
+            rel("b", "c", [(10, 100), (11, 101)], stats),
+            rel("c", "a", [(100, 1)], stats),
+        ]
+        order, rows = evaluate_forest(
+            {"a": col(1, 2), "b": col(10, 11), "c": col(100, 101)},
+            relations, stats,
+        )
+        assert as_dicts(order, rows) == [{"a": 1, "b": 10, "c": 100}]
+        # only the two tree links are semi-joined (twice each)
+        assert stats.semijoins == 4
 
 
 class TestEvaluateForest:
@@ -207,17 +276,6 @@ class TestEvaluateForest:
         assert sorted(
             (r["a"], r["b"], r["x"]) for r in as_dicts(order, rows)
         ) == [(1, 10, 7), (1, 10, 8)]
-
-    def test_cyclic_structure_raises(self):
-        stats = EvalStats()
-        pools = {"a": col(1), "b": col(2), "c": col(3)}
-        relations = [
-            rel("a", "b", [(1, 2)], stats),
-            rel("b", "c", [(2, 3)], stats),
-            rel("c", "a", [(3, 1)], stats),
-        ]
-        with pytest.raises(ValueError, match="cyclic"):
-            evaluate_forest(pools, relations, stats)
 
     def test_empty_relation_short_circuits(self):
         stats = EvalStats()

@@ -30,10 +30,10 @@ class TestRecording:
     def test_extra_counters_fold_in(self):
         registry = MetricsRegistry()
         stats = EvalStats()
-        stats.bump("fallback_cyclic")
+        stats.bump("fallback_budget")
         registry.record(stats)
         registry.record(stats)
-        assert registry.totals()["fallback_cyclic"] == 2
+        assert registry.totals()["fallback_budget"] == 2
 
     def test_seconds_defaults_to_stats_seconds(self):
         registry = MetricsRegistry()

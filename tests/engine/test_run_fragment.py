@@ -1,4 +1,4 @@
-"""The per-fragment driver: pipeline or fallback, and row-cap degradation."""
+"""run_fragment: the pipeline, and row-cap degradation."""
 
 import time
 
@@ -37,7 +37,7 @@ class TestRouting:
     def test_covered_fragment_runs_setwise(self):
         stats = traced_stats()
         rows = run_fragment(
-            stats, ["a", "b"], None, lambda: list(SETWISE_ROWS), must_not_run
+            stats, ["a", "b"], lambda: list(SETWISE_ROWS), must_not_run
         )
         assert rows == SETWISE_ROWS
         assert stats.pipeline_fragments == 1
@@ -47,20 +47,6 @@ class TestRouting:
         assert span["decision"] == "pipeline"
         assert span["reason"] is None
         assert span["rows"] == 2
-
-    def test_static_reason_runs_fallback(self):
-        stats = traced_stats()
-        rows = run_fragment(
-            stats, ["a", "b"], "cyclic", must_not_run, lambda: list(FALLBACK_ROWS)
-        )
-        assert rows == FALLBACK_ROWS
-        assert stats.pipeline_fragments == 0
-        assert stats.pipeline_fallbacks == 1
-        assert stats.extra["fallback_cyclic"] == 1
-        (span,) = fragment_spans(stats)
-        assert span["decision"] == "fallback"
-        assert span["reason"] == "cyclic"
-        assert span["rows"] == 1
 
 
 class TestRowCapDegradation:
@@ -73,7 +59,7 @@ class TestRowCapDegradation:
             return list(SETWISE_ROWS)
 
         rows = run_fragment(
-            stats, ["a", "b"], None, setwise, lambda: list(FALLBACK_ROWS)
+            stats, ["a", "b"], setwise, lambda: list(FALLBACK_ROWS)
         )
         assert rows == FALLBACK_ROWS
         assert stats.budget.rows == 4
@@ -97,7 +83,7 @@ class TestRowCapDegradation:
             return list(SETWISE_ROWS)
 
         with pytest.raises(BudgetExceeded) as caught:
-            run_fragment(stats, ["a"], None, setwise, must_not_run)
+            run_fragment(stats, ["a"], setwise, must_not_run)
         assert caught.value.limit == "max_work"
         assert "degraded_fragments" not in stats.extra
         assert stats.pipeline_fallbacks == 0
@@ -111,7 +97,7 @@ class TestRowCapDegradation:
             return list(SETWISE_ROWS)
 
         with pytest.raises(DeadlineExceeded):
-            run_fragment(stats, ["a"], None, setwise, must_not_run)
+            run_fragment(stats, ["a"], setwise, must_not_run)
         assert "degraded_fragments" not in stats.extra
         assert stats.pipeline_fallbacks == 0
 

@@ -373,20 +373,28 @@ class TestDeltaRoute:
         session = QuerySession(parse_document(DOC))
         return session, session.subscribe(BOOKS)
 
-    def test_ordered_arcs_fall_back_counted(self):
+    def test_ordered_arcs_take_the_delta_route(self):
+        # document order between unchanged nodes never changes, so the
+        # delta rule holds for ordered arcs too
         session = QuerySession(parse_document(DOC))
         subscription = session.subscribe(
             "query { book as B { ord title as T  ord author as A } }"
             " construct { r { collect B } }"
         )
+        in_order, reversed_ = book("D", "2001"), book("E", "2002")
+        in_order.append(Element("author"))
+        reversed_.insert(0, Element("author"))
+        root = session._sources.root
         session.mutate(
-            MutationBatch().insert_subtree(
-                session._sources.root, book("D", "2001")
-            )
+            MutationBatch()
+            .insert_subtree(root, in_order)
+            .insert_subtree(root, reversed_)
         )
-        assert subscription.fallbacks == {"delta_fallback_ordered": 1}
-        assert subscription.full_evals == 1 and subscription.delta_evals == 0
-        assert "delta_fallback_ordered 1" in subscription.describe()
+        assert subscription.fallbacks == {}
+        assert subscription.full_evals == 0 and subscription.delta_evals == 1
+        assert "1 delta, 0 full" in subscription.describe()
+        (delta,) = subscription.poll()
+        assert [b["B"] for b in delta.added] == [in_order] and not delta.removed
 
     @pytest.mark.parametrize(
         "query",

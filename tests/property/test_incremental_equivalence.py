@@ -62,6 +62,10 @@ QUERIES = [
     " construct { r { collect B } }",
     "query { book as B { or { publisher as P | title as T } } }"
     " construct { r { collect B } }",
+    # an ordered sibling pair: document order between unchanged nodes
+    # never changes, so the delta rule holds for it
+    "query { book as B { ord title as T  ord publisher as P } }"
+    " construct { r { collect B } }",
 ]
 
 

@@ -6,12 +6,12 @@ Two layers, mirroring how the pipeline is wired in:
   graphs and random :class:`MatchSpec` decorations (injective flag, path
   edges), ``find_homomorphisms_setwise`` must produce the exact mapping
   multiset of ``find_homomorphisms``.  Path-edge components exercise the
-  fallback route, plain forest components the
-  semi-join route, and injective specs the row filter over either.
+  breadth-first path relation, plain forest components the semi-join
+  route, and injective specs the row filter over either.
 
 * **WG-Log rule level** — seeded random instance graphs run hand-built
   rule shapes (forest rules, ∀-negated crossed edges, path edges, a
-  diamond that defeats the forest test) through ``embeddings`` with all
+  diamond whose second edge closes a cycle) through ``embeddings`` with all
   three ``ExecOptions.engine`` choices and both injectivity modes.
 
 * **Anti-join and injective routes** — rules whose crossed edges run as
@@ -65,8 +65,8 @@ def patterns_with_specs(draw, max_nodes: int = 4):
     """A random pattern plus a random spec over its edges.
 
     Each edge is independently plain or a path edge, so cases cover
-    pure-forest components (semi-join route), components with path edges
-    (fallback route) and mixtures of both.
+    pure-forest components, components with path edges (relations built
+    by breadth-first search) and mixtures of both.
     """
     g = LabeledGraph()
     count = draw(st.integers(1, max_nodes))
@@ -180,11 +180,11 @@ RULES = [
     "rule r { match { a: Doc  b: *  a -link-> b } }",
     # star: one parent, two children, still a forest
     "rule r { match { a: Doc  a -link-> b  a -index-> c } }",
-    # diamond over shared endpoints: cyclic skeleton, per-fragment fallback
+    # diamond over shared endpoints: the second edge filters the joined rows
     "rule r { match { a: Doc  b: Doc  a -link-> b  a -index-> b } }",
     # ∀-negation: no Doc that indexes d may exist
     "rule r { match { d: Doc  no i -index-> d } construct { d.seen = 'y' } }",
-    # path edge: reachability, matched by the traversal fallback
+    # path edge: reachability, a relation built by breadth-first search
     "rule r { match { a: Doc  b: Doc  a -link*-> b } }",
     # any-label path plus a plain edge: mixed fragment
     "rule r { match { a: Doc  b: Doc  c: Doc  a -_*-> b  b -link-> c } }",

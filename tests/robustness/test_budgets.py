@@ -301,6 +301,48 @@ class TestGraphDegradation:
         assert stats.budget.rows <= self.CAP
 
 
+class TestPathRelationGovernance:
+    """Limits tripped while a path edge's relation is being searched
+    propagate: only the row cap degrades."""
+
+    def setwise(self, budget):
+        from repro.graph import LabeledGraph, MatchSpec, find_homomorphisms_setwise
+        from repro.graph.labeled_graph import Edge
+
+        data = LabeledGraph()
+        data.add_node("s", "start")
+        for i in range(600):  # one start, one end, a long chain between
+            data.add_node(i, "mid")
+        data.add_node("e", "end")
+        data.add_edge("s", 0, "x")
+        for i in range(599):
+            data.add_edge(i, i + 1, "x")
+        data.add_edge(599, "e", "x")
+        pattern = LabeledGraph()
+        pattern.add_node("a", "start")
+        pattern.add_node("b", "end")
+        pattern.add_edge("a", "b", "x")
+        spec = MatchSpec(injective=False, path_edges={Edge("a", "b", "x")})
+        stats = EvalStats()
+        arm_budget(stats, budget)
+        with pytest.raises(BudgetExceeded) as caught:
+            list(find_homomorphisms_setwise(pattern, data, spec, stats=stats))
+        # the two one-node pools are charged; the trip is in the search
+        assert stats.budget.work > 2
+        assert stats.relation_pairs == 0
+        assert "degraded_fragments" not in stats.extra
+        assert stats.pipeline_fallbacks == 0
+        return caught.value
+
+    def test_work_cap_propagates(self):
+        exc = self.setwise(QueryBudget(max_work=100, max_hashjoin_rows=1000))
+        assert exc.limit == "max_work"
+
+    def test_deadline_propagates(self):
+        exc = self.setwise(QueryBudget(deadline_ms=0, max_hashjoin_rows=1000))
+        assert isinstance(exc, DeadlineExceeded)
+
+
 class TestZeroOverhead:
     def test_unbudgeted_and_generous_budget_do_identical_work(self, doc):
         rule = parse_rule(JOIN_RULE)

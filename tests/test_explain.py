@@ -62,11 +62,16 @@ class TestExplainDigest:
         variables = sorted(tuple(sorted(f.variables)) for f in graph.fragments)
         assert variables == [("B",), ("C", "T")]
 
-    def test_fallback_reason_surfaces(self):
+    def test_ordered_arcs_run_on_the_pipeline(self):
+        # ordered arcs filter the assembled rows: no route of their own
         report = explain(ORDERED, DOC)
         [fragment] = report.graphs[0].fragments
-        assert fragment.decision == "fallback"
-        assert fragment.reason == "ordered"
+        assert fragment.decision == "pipeline"
+        assert fragment.reason is None
+        assert not any(key.startswith("fallback_") for key in report.stats.extra)
+        oracle = explain(ORDERED, DOC, options=ExecOptions(engine="naive"))
+        assert fragment.rows == report.construct["bindings"] == 2
+        assert oracle.construct["bindings"] == 2
 
     def test_preflight_skip_short_circuits(self):
         report = explain(UNSAT, DOC)
@@ -102,22 +107,21 @@ class TestSyntheticDefault:
 
 
 class TestDecisions:
-    def test_edge_free_fragment_surfaces_as_fallback(self):
-        # a box with no containment arc has nothing to semi-join, so the
-        # default pipeline runs it node-at-a-time and the report says why
-        report = explain(
-            "query { book as B { @year as Y } } construct { r { collect B } }",
-            DOC,
-        )
+    def test_edge_free_fragment_runs_on_the_pipeline(self):
+        # a box with no containment arc has no relation: its pool is its
+        # rows, and the report shows a pipeline fragment
+        query = "query { book as B { @year as Y } } construct { r { collect B } }"
+        report = explain(query, DOC)
         assert report.engine == "pipeline"
         [fragment] = report.graphs[0].fragments
-        assert fragment.decision == "fallback"
-        assert fragment.reason == "edge-free"
+        assert fragment.decision == "pipeline"
+        assert fragment.reason is None
         assert fragment.rows == 2
-        assert (
-            "fallback to backtracking (reason: edge-free)"
-            in report.render_text()
-        )
+        assert not any(key.startswith("fallback_") for key in report.stats.extra)
+        assert "fragment [B]: pipeline -> 2 row(s)" in report.render_text()
+        assert "fallback" not in report.render_text()
+        oracle = explain(query, DOC, options=ExecOptions(engine="naive"))
+        assert oracle.construct == report.construct
 
     def test_plan_source_cached_on_repeat(self):
         from repro.engine.cache import DocumentIndexCache

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.engine import EvalStats
+from repro.compare import CATALOG
+from repro.engine import EvalStats, ExecOptions
+from repro.engine.limits import QueryBudget
 from repro.errors import EvaluationError, QueryStructureError, SchemaError
 from repro.wglog import (
     Color,
@@ -15,12 +17,14 @@ from repro.wglog import (
     apply_program,
     apply_rule,
     check_against_schema,
+    document_to_instance,
     embeddings,
     parse_rule,
     parse_wglog,
     query,
     satisfies,
 )
+from repro.workloads import bibliography
 from repro.xmlgl import attr, cmp  # condition helpers are shared
 
 
@@ -232,6 +236,40 @@ class TestEmbeddings:
             "rule r { match { a: N  b: N  a -reach-> b  no b -link-> a } }"
         )
         assert len(embeddings(negated, inst, delta=nothing_new)) == 4
+
+
+class TestPathRelation:
+    """A path edge joins as a relation built by breadth-first search."""
+
+    @staticmethod
+    def run(rule, instance, engine):
+        stats = EvalStats()
+        found = embeddings(
+            rule, instance, stats=stats, options=ExecOptions(engine=engine),
+            budget=QueryBudget(max_work=10**9),
+        )
+        return sorted(tuple(sorted(b.items())) for b in found), stats
+
+    def test_q8_work_grows_with_the_graph_not_its_square(self):
+        pair = next(p for p in CATALOG if p.id == "q8-recursion")
+        rule = parse_rule(pair.wglog_source)
+        work = []
+        for entries in (30, 120):
+            instance, _ = document_to_instance(bibliography(entries))
+            rows, stats = self.run(rule, instance, "pipeline")
+            assert rows == self.run(rule, instance, "backtracking")[0]
+            assert stats.pipeline_fragments == 1
+            assert stats.pipeline_fallbacks == 0
+            work.append(stats.budget.work)
+        small, large = work
+        assert 0 < small and large <= 6 * small
+
+    def test_path_rows_equal_the_backtracking_core(self):
+        rule = parse_rule("rule q { match { a: *  b: *  a -cites*-> b } }")
+        instance, _ = document_to_instance(bibliography(30))
+        rows, stats = self.run(rule, instance, "pipeline")
+        assert rows and rows == self.run(rule, instance, "backtracking")[0]
+        assert not any(key.startswith("fallback_") for key in stats.extra)
 
 
 class TestNegation:

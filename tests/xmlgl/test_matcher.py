@@ -342,9 +342,9 @@ class TestStatsAndOptions:
         assert stats.pipeline_fallbacks == 0
         assert stats.hashjoin_rows > 0
 
-    def test_edge_free_fragment_runs_node_at_a_time(self, bib):
-        # a box with no containment arc has nothing to semi-join: the
-        # compile-time shape rule sends it to the backtracking core
+    def test_edge_free_fragment_runs_on_the_pipeline(self, bib):
+        # a box with no containment arc has no relation: its pool is its
+        # rows, so it runs on the pipeline like every other fragment
         q = QueryBuilder()
         book = q.box("book", id="B")
         q.attribute(book, "year", id="Y")
@@ -352,14 +352,19 @@ class TestStatsAndOptions:
         result = match(
             q.graph(), bib, options=ExecOptions(trace=True), stats=stats
         )
-        assert len(result) == len(
+
+        def rows(bindings):
+            return sorted((id(b["B"]), b["Y"]) for b in bindings)
+
+        assert rows(result) == rows(
             match(q.graph(), bib, options=ExecOptions(engine="naive"))
         )
         (fragment,) = stats.trace.find("match.fragment")
-        assert fragment.attributes["decision"] == "fallback"
-        assert fragment.attributes["reason"] == "edge-free"
-        assert stats.extra["fallback_edge-free"] == 1
-        assert stats.pipeline_fragments == 0
+        assert fragment.attributes["decision"] == "pipeline"
+        assert fragment.attributes["reason"] is None
+        assert not any(key.startswith("fallback_") for key in stats.extra)
+        assert stats.pipeline_fragments == 1
+        assert stats.pipeline_fallbacks == 0
 
     def test_stats_populated_backtracking(self, bib):
         q = QueryBuilder()
