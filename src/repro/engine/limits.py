@@ -34,7 +34,11 @@ The degradation ladder (documented in DESIGN.md § Resource governance):
    that fragment — slower, but bounded memory.  Both matchers run every
    fragment through :func:`repro.engine.pipeline.run_fragment`, the one
    driver that refunds the abandoned rows and records the fallback reason
-   ``budget`` and the counter ``degraded_fragments``;
+   ``budget`` and the counters ``pipeline_fallbacks`` and
+   ``degraded_fragments``.  The fallback reads the same per-box pools
+   the pipeline would have: XML-GL filters each box's pool by its
+   circles, pushed-down conditions and crossed arcs once, before any
+   engine runs, so the core needs no pool of its own;
 2. a limit the ladder cannot absorb raises :class:`BudgetExceeded` /
    :class:`DeadlineExceeded` carrying the partial ``EvalStats``;
 3. under ``on_limit="partial"`` the matchers catch step 2 and return the

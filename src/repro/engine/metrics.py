@@ -160,9 +160,9 @@ class MetricsRegistry:
 
         Rates divide counter pairs recorded by the engines: the cache hit
         rate is ``cache_hits / (cache_hits + cache_misses)``, the fallback
-        rate ``pipeline_fallbacks / (pipeline_fragments +
-        pipeline_fallbacks)`` — both ``None`` until a relevant counter
-        ticked.  Percentiles cover the most recent ``max_samples``
+        rate ``pipeline_fallbacks / pipeline_fragments`` (the share of
+        pipeline fragments the row cap degraded) — both ``None`` until a
+        relevant counter ticked.  Percentiles cover the most recent ``max_samples``
         evaluations (nearest-rank).
 
         The ``governance`` block surfaces the resource-governance
@@ -200,9 +200,7 @@ class MetricsRegistry:
                 else None
             ),
             "pipeline_fallback_rate": (
-                fallbacks / (fragments + fallbacks)
-                if fragments + fallbacks
-                else None
+                fallbacks / fragments if fragments else None
             ),
             "latency": {
                 "samples": len(ordered),

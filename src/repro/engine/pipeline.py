@@ -199,9 +199,10 @@ def run_fragment(
     return the fragment's rows.
 
     This is the only place that opens the ``match.fragment`` span
-    (``decision``, ``reason``, ``rows``) and bumps
-    ``pipeline_fragments``; a degraded fragment reports decision
-    ``fallback`` with reason ``budget``, the string EXPLAIN output shares.
+    (``decision``, ``reason``, ``rows``) and bumps ``pipeline_fragments``
+    and ``pipeline_fallbacks``; a degraded fragment counts in both and
+    reports decision ``fallback`` with reason ``budget``, the string
+    EXPLAIN output shares.
     """
     names = [str(var) for var in variables]
     with trace_span(
@@ -218,6 +219,7 @@ def run_fragment(
         except BudgetExceeded as exc:
             if exc.limit != "max_hashjoin_rows":
                 raise
+            stats.pipeline_fallbacks += 1
             degrade(stats, rows_before, variables=names)
             if fragment_span is not None:
                 fragment_span["decision"] = "fallback"
@@ -235,9 +237,11 @@ def degrade(stats: EvalStats, rows_before: int, **attributes: Any) -> None:
     ``rows_before``) so sibling fragments keep their headroom — those rows
     were discarded, not kept.  Records the fallback reason ``budget``
     (``fallback_budget``), plus the governance counter ``degraded_fragments``,
-    and emits a ``degraded`` trace event carrying ``attributes``.
+    and emits a ``degraded`` trace event carrying ``attributes``.  A
+    degraded fragment is also one of :func:`run_fragment`'s
+    ``pipeline_fallbacks``; XML-GL's combine stage, which re-runs no one
+    fragment, is not.
     """
-    stats.pipeline_fallbacks += 1
     stats.bump("fallback_budget")
     stats.bump("degraded_fragments")
     if stats.budget is not None:

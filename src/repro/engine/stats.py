@@ -33,10 +33,13 @@ counted separately from per-candidate trial-and-error:
 * ``hashjoin_rows`` — rows produced by hash joins (tree assembly plus
   cross-fragment equi-joins);
 * ``relation_pairs`` — pairs materialised in binary edge relations;
-* ``pipeline_fragments`` — query fragments evaluated set-at-a-time;
-* ``pipeline_fallbacks`` — fragments degraded by the row cap: handed
+* ``pipeline_fragments`` — query fragments handed to the pipeline,
+  degraded ones included;
+* ``pipeline_fallbacks`` — those of them degraded by the row cap: handed
   back to the backtracking core after tripping ``max_hashjoin_rows``
-  (reason ``budget``, counted again in ``extra["fallback_budget"]``);
+  (reason ``budget``).  ``extra["fallback_budget"]`` and
+  ``extra["degraded_fragments"]`` also count XML-GL's combine-stage
+  degradation, which re-runs the whole graph rather than one fragment;
 * ``cache_hits`` / ``cache_misses`` — shared
   :class:`~repro.engine.cache.DocumentIndexCache` lookups served from /
   missing the cache during this evaluation;

@@ -21,7 +21,11 @@ Matching is homomorphic: two different boxes may map to the same element.
 A crossed arc depends only on its parent's binding (a nested NOT EXISTS),
 so it is a filter, not a route: on every engine, :func:`_prepare` drops
 each element of the parent box's pool under which the crossed subpattern
-has a witness, counted in ``stats.extra["antijoin_dropped"]``.
+has a witness, counted in ``stats.extra["antijoin_dropped"]``.  Circles
+and single-box conditions read one box's element too: on both indexed
+engines :func:`_prepare` resolves the circles and applies the box's
+pushed-down conditions to its pool once, so every route — the pipeline,
+a row-cap fallback, the backtracking engine — reads one pool per box.
 
 A continuous query re-evaluates a commit's effect through
 :func:`match_within`: the compiled graph with one box's pool cut to the
@@ -49,12 +53,12 @@ Three engines share this module (``ExecOptions.engine``):
 * ``"pipeline"`` (default) evaluates **set-at-a-time**: the paper's
   queries-are-graphs idiom makes every extract graph a relational join
   plan, so each query fragment is compiled to per-box candidate pools
-  (from the :class:`~repro.engine.index.DocumentIndex`) plus binary edge
-  relations, single-box predicates and required circles are pushed down
-  into the pools, a Yannakakis semi-join reduction removes dangling
-  candidates over a cost-chosen join tree, and hash joins assemble the
-  binding set.  An arc that closes an undirected cycle filters the
-  assembled rows, and so do ordered arcs; a box with no arc is its pool.
+  (from the :class:`~repro.engine.index.DocumentIndex`, already filtered
+  by circles and single-box predicates) plus binary edge relations, a
+  Yannakakis semi-join reduction removes dangling candidates over a
+  cost-chosen join tree, and hash joins assemble the binding set.  An
+  arc that closes an undirected cycle filters the assembled rows, and so
+  do ordered arcs; a box with no arc is its pool.
   Value joins — ``=`` conditions linking otherwise disconnected
   fragments — become hash equi-joins instead of filtered cross products.
   Only a fragment that trips the ``max_hashjoin_rows`` cap re-runs on
@@ -345,9 +349,6 @@ class _BranchPlan:
     negated_by_parent: dict[str, list[ContainmentEdge]]
     attr_hints: dict[str, list[str]]
     values_by_parent: dict[str, list[ContainmentEdge]]
-    #: Non-negated circles with a constant/regex constraint, per parent box
-    #: — these prefilter the box's static pool for every engine.
-    constrained_circles: dict[str, list[object]]
     #: Ids of the private circle copies :func:`_split_shared_circles` made.
     private: frozenset[str]
     #: ``(ids, edges)`` per connected fragment.
@@ -438,12 +439,6 @@ def _compile_branch(graph: QueryGraph) -> Optional[_BranchPlan]:
     for edge in value_edges:
         values_by_parent.setdefault(edge.parent, []).append(edge)
 
-    constrained_circles: dict[str, list[object]] = {}
-    for edge in value_edges:
-        child = graph.nodes[edge.child]
-        if child.value is not None or child.compiled_regex is not None:
-            constrained_circles.setdefault(edge.parent, []).append(child)
-
     components: list[tuple[list[str], list[ContainmentEdge]]] = []
     for component in connected_components(
         element_ids, [(e.parent, e.child) for e in element_edges]
@@ -465,7 +460,6 @@ def _compile_branch(graph: QueryGraph) -> Optional[_BranchPlan]:
         negated_by_parent=negated_by_parent,
         attr_hints=attr_hints,
         values_by_parent=values_by_parent,
-        constrained_circles=constrained_circles,
         private=private,
         components=components,
         pushed=pushed,
@@ -540,6 +534,9 @@ class _Prep:
     options: ExecOptions
     stats: EvalStats
     static_candidates: dict[str, list[Element]]
+    #: Circle values of every box :func:`_prepare` filtered, keyed by the
+    #: surviving element's ``id`` (empty for a box without circles).
+    value_rows: dict[str, dict[int, dict[str, object]]]
     use_intervals: bool = True
     #: Lazy caches: membership id-sets feed only the backtracking core and
     #: label columns only the set-at-a-time pipeline, so neither is built
@@ -602,10 +599,19 @@ def _prepare(
 
     ``restrict`` maps some boxes to the only labels their pools may draw
     from (:func:`match_within`); every other box, and every box of a
-    read, starts from its whole index pool."""
+    read, starts from its whole index pool.
+
+    On the indexed engines a box's circles and pushed-down conditions
+    read its element alone, so they filter its pool here, once: an
+    element with a missing circle is dropped (``circle_prefiltered``),
+    then one failing a pushed condition, at one budget unit per element.
+    The survivors' circle values stay on the prep (``value_rows``).  The
+    naive oracle keeps its unfiltered pools."""
     graph = branch.graph
     use_intervals = options.engine != "naive"
+    budget = stats.budget
     static_candidates: dict[str, list[Element]] = {}
+    value_rows: dict[str, dict[int, dict[str, object]]] = {}
     for node_id in branch.element_ids:
         hints = branch.attr_hints.get(node_id, [])
         if restrict is None or node_id not in restrict:
@@ -616,23 +622,40 @@ def _prepare(
             pool = _candidates_at(
                 graph.nodes[node_id], document, index, restrict[node_id], hints
             )
-        # Constant/regex circles are per-element filters known statically:
-        # apply them to the pool once, so *both* engines enumerate only
-        # elements that can still resolve every constrained circle (the
-        # ext_paths/filtered fix — without this, a fallback fragment scans
-        # the unfiltered pool exactly like the naive engine).
-        constrained = branch.constrained_circles.get(node_id)
-        if constrained and use_intervals and pool:
-            kept = []
+        circles = [
+            (edge.child, graph.nodes[edge.child])
+            for edge in branch.values_by_parent.get(node_id, ())
+        ]
+        conditions = branch.pushed.get(node_id, ())
+        if use_intervals and pool and (circles or conditions):
+            kept: list[Element] = []
+            values: dict[int, dict[str, object]] = {}
+            missing = 0
             for element in pool:
-                stats.condition_checks += len(constrained)
-                if all(
-                    _value_of(circle, element) is not None
-                    for circle in constrained
-                ):
-                    kept.append(element)
-            if len(kept) < len(pool):
-                stats.bump("circle_prefiltered", len(pool) - len(kept))
+                if budget is not None:
+                    budget.charge()
+                row: dict[str, object] = {node_id: element}
+                for circle_id, circle in circles:
+                    stats.condition_checks += 1
+                    value = _value_of(circle, element)
+                    if value is None:
+                        missing += 1
+                        break
+                    row[circle_id] = value
+                else:
+                    # every circle resolved: now the pushed conditions
+                    for condition in conditions:
+                        stats.condition_checks += 1
+                        if not condition.evaluate(row, _ACCESSOR):  # type: ignore[arg-type]
+                            break
+                    else:
+                        kept.append(element)
+                        if circles:
+                            del row[node_id]
+                            values[id(element)] = row
+            if missing:
+                stats.bump("circle_prefiltered", missing)
+            value_rows[node_id] = values
             pool = kept
         # A crossed arc depends on its parent's binding alone: it is a
         # filter on the parent's pool (nested NOT EXISTS), not a route.
@@ -659,6 +682,7 @@ def _prepare(
         options=options,
         stats=stats,
         static_candidates=static_candidates,
+        value_rows=value_rows,
         use_intervals=use_intervals,
     )
 
@@ -682,21 +706,17 @@ def _match_backtracking(prep: _Prep) -> Iterator[Binding]:
 
 
 def _fragment_bindings(
-    prep: _Prep,
-    fragment_ids: Sequence[str],
-    pools: Optional[dict[str, list[Element]]] = None,
+    prep: _Prep, fragment_ids: Sequence[str]
 ) -> Iterator[dict[str, object]]:
     """Backtracking enumeration of one query fragment.
 
     Yields complete assignments for ``fragment_ids`` — ordered arcs and
-    value circles of the fragment resolved — as plain dicts.  Crossed arcs
-    already filtered the pools in :func:`_prepare`.  Rule-level
-    conditions are *not* applied here; the pipeline
-    applies them after fragments are combined, the backtracking engine
-    right after this generator.  With ``fragment_ids`` covering every box
-    this is exactly the legacy single-pass engine.  ``pools`` overrides
-    per-box candidate pools (pushed-down conditions applied by
-    :func:`_fallback_fragment`) without touching the shared preparation.
+    value circles of the fragment resolved — as plain dicts.  Crossed arcs,
+    circles and pushed-down conditions already filtered the pools in
+    :func:`_prepare`.  Rule-level conditions are *not* applied here; the
+    pipeline applies them after fragments are combined, the backtracking
+    engine right after this generator.  With ``fragment_ids`` covering
+    every box this is exactly the legacy single-pass engine.
     """
     graph, index, options, stats = prep.graph, prep.index, prep.options, prep.stats
     budget = stats.budget
@@ -705,15 +725,6 @@ def _fragment_bindings(
     value_edges = locals_.value_edges
     adjacency = locals_.adjacency
     static_candidates = prep.static_candidates
-    override_sets: dict[str, set[int]] = {}
-    if pools:
-        static_candidates = {**static_candidates, **pools}
-        override_sets = {n: {id(e) for e in pool} for n, pool in pools.items()}
-
-    def allowed_for(node_id: str) -> set[int]:
-        override = override_sets.get(node_id)
-        return override if override is not None else prep.static_set(node_id)
-
     use_intervals = prep.use_intervals
 
     def estimate(node_id: str) -> int:
@@ -801,7 +812,7 @@ def _fragment_bindings(
                 pools.append(pool)
         if not pools:
             return static_candidates[node_id], False
-        narrowed = intersect_pools(pools, allowed=allowed_for(node_id), key=id)
+        narrowed = intersect_pools(pools, allowed=prep.static_set(node_id), key=id)
         if use_intervals:
             stats.edge_checks += len(pools)
             return narrowed, True
@@ -855,7 +866,7 @@ def _match_pipeline(prep: _Prep) -> Iterator[Binding]:
             stats,
             ids,
             partial(_setwise_fragment, prep, ids, edges),
-            partial(_fallback_fragment, prep, ids),
+            lambda ids=ids: list(_fragment_bindings(prep, ids)),
         )
         if not rows:
             return  # conjunctive semantics: one empty fragment, no bindings
@@ -903,25 +914,6 @@ def _match_pipeline(prep: _Prep) -> Iterator[Binding]:
         yield Binding(row)
 
 
-def _fallback_fragment(prep: _Prep, ids: Sequence[str]) -> list[dict[str, object]]:
-    """One fragment on the backtracking core: the pipeline route's fallback
-    when the fragment trips the row cap.
-
-    Conditions consumed by push-down never reach the final filter, so they
-    filter their box's candidate pool here — otherwise rows the pipeline
-    would have cut leak through.
-    """
-    branch = prep.branch
-    pools: dict[str, list[Element]] = {}
-    for node_id in ids:
-        conditions = branch.pushed.get(node_id)
-        if conditions:
-            pools[node_id], _ = _filtered_pool(
-                prep, node_id, branch.values_by_parent.get(node_id, ()), conditions
-            )
-    return list(_fragment_bindings(prep, ids, pools=pools))
-
-
 def _operand_variables(operand: Operand) -> set[str]:
     if isinstance(operand, Const):
         return set()
@@ -942,10 +934,10 @@ def _push_down_conditions(
     A condition whose variables all belong to one box's *cluster* — the box
     plus its value circles — evaluates identically on the pool row and on
     the final binding, so it filters the pool before any join.  Every box
-    consumes its conditions, whatever engine its fragment runs on:
-    set-at-a-time fragments filter pools in :func:`_filtered_pool`,
-    degraded fragments through :func:`_fallback_fragment`.  Returns the
-    per-box pushed conditions and the set of consumed condition indexes.
+    consumes its conditions: :func:`_prepare` filters the box's one pool
+    with them on both indexed engines, so a fragment the row cap degrades
+    to the backtracking core reads the same pool.  Returns the per-box
+    pushed conditions and the set of consumed condition indexes.
     """
     clusters = {
         n: {n} | {e.child for e in values_by_parent.get(n, ())}
@@ -970,41 +962,35 @@ def _setwise_fragment(
 ) -> list[dict[str, object]]:
     """Evaluate one fragment set-at-a-time.
 
-    Pools are filtered by required circles and pushed-down predicates and
-    become sorted label columns; edge relations are materialised by the
-    interval kernels (:mod:`repro.engine.columns`), then reduced and
-    hash-joined by :func:`repro.engine.pipeline.evaluate_forest`.  A box
+    Pools, which :func:`_prepare` already filtered by circles and
+    pushed-down predicates, become sorted label columns; edge relations
+    are materialised by the interval kernels (:mod:`repro.engine.columns`),
+    then reduced and hash-joined by
+    :func:`repro.engine.pipeline.evaluate_forest`.  A box
     with no arc has no relation, so its pool is its rows.  Node objects
     are looked up in the index's ``label -> element`` map only for the
     surviving assembled rows, which ordered arcs then filter.
     """
     stats, index = prep.stats, prep.index
-    values_by_parent, pushed = prep.branch.values_by_parent, prep.branch.pushed
     tracer = stats.trace
     budget = stats.budget
     pools: dict[str, Sequence[int]] = {}
-    value_rows: dict[str, dict[int, dict[str, str]]] = {}
+    value_rows: dict[str, dict[int, dict[str, object]]] = {}
     with trace_span(tracer, "fragment.pools") as pools_span:
         for node_id in ids:
-            circles = values_by_parent.get(node_id, ())
-            conditions = pushed.get(node_id, ())
-            values: dict[int, dict[str, str]] = {}
-            if not circles and not conditions:
-                # Nothing to resolve or filter: adopt the static pool's
-                # label column wholesale — for pristine index pools this is
-                # the index's own array, no per-element work at all.
-                column: Sequence[int] = prep.static_labels(node_id)
+            # Adopt the static pool's label column wholesale — for a
+            # pristine index pool this is the index's own array.  A box
+            # _prepare filtered was charged there, one unit per element.
+            column = prep.static_labels(node_id)
+            values = prep.value_rows.get(node_id)
+            if values is None:
+                values = {}
                 if budget is not None:
                     budget.charge(len(column))
-            else:
-                pool, values = _filtered_pool(prep, node_id, circles, conditions)
-                column = index.labels_of(pool)
             if pools_span is not None:
                 pools_span.attributes.setdefault("sizes", {})[node_id] = len(
                     column
                 )
-            if not len(column):
-                return []
             pools[node_id] = column
             value_rows[node_id] = values
 
@@ -1070,46 +1056,6 @@ def _edge_pairs(
         budget.charge(len(parent_col) + len(child_col))
         budget.add_rows(containment_count(parent_col, posts, child_col))
     return containment_pairs(parent_col, posts, child_col)
-
-
-def _filtered_pool(
-    prep: _Prep,
-    node_id: str,
-    value_edges: Sequence[ContainmentEdge],
-    conditions: Sequence[Condition],
-) -> tuple[list[Element], dict[int, dict[str, str]]]:
-    """A box's candidate pool with circles resolved and predicates applied."""
-    graph, stats = prep.graph, prep.stats
-    budget = stats.budget
-    pool: list[Element] = []
-    values: dict[int, dict[str, str]] = {}
-    for element in prep.static_candidates[node_id]:
-        if budget is not None:
-            budget.charge()
-        row: dict[str, object] = {node_id: element}
-        ok = True
-        for edge in value_edges:
-            node = graph.nodes[edge.child]
-            stats.condition_checks += 1
-            value = _value_of(node, element)
-            if value is None:
-                ok = False
-                break
-            row[edge.child] = value
-        if not ok:
-            continue
-        for condition in conditions:
-            stats.condition_checks += 1
-            if not condition.evaluate(row, _ACCESSOR):  # type: ignore[arg-type]
-                ok = False
-                break
-        if not ok:
-            continue
-        pool.append(element)
-        if len(row) > 1:
-            del row[node_id]
-            values[id(element)] = row  # type: ignore[assignment]
-    return pool, values
 
 
 def _combine_fragments(

@@ -6,8 +6,12 @@ import threading
 
 import pytest
 
+from repro.engine.limits import QueryBudget
 from repro.engine.metrics import MetricsRegistry
 from repro.engine.stats import EvalStats
+from repro.workloads import bibliography
+from repro.xmlgl.dsl import parse_rule
+from repro.xmlgl.evaluator import rule_bindings
 
 
 def stats_with(**counters) -> EvalStats:
@@ -75,7 +79,22 @@ class TestSnapshot:
     def test_fallback_rate(self):
         registry = MetricsRegistry()
         registry.record(stats_with(pipeline_fragments=3, pipeline_fallbacks=1))
-        assert registry.snapshot()["pipeline_fallback_rate"] == 0.25
+        assert registry.snapshot()["pipeline_fallback_rate"] == pytest.approx(1 / 3)
+
+    def test_fallback_rate_of_a_degraded_one_fragment_query(self):
+        # A degraded fragment is one of the pipeline's fragments, so a
+        # query whose only fragment tripped the row cap reads 1.0.
+        stats = EvalStats()
+        rule_bindings(
+            parse_rule("query { book as B } construct { r { collect B } }"),
+            bibliography(200, seed=0),
+            budget=QueryBudget(max_hashjoin_rows=10),
+            stats=stats,
+        )
+        assert (stats.pipeline_fragments, stats.pipeline_fallbacks) == (1, 1)
+        registry = MetricsRegistry()
+        registry.record(stats)
+        assert registry.snapshot()["pipeline_fallback_rate"] == 1.0
 
     def test_percentiles_nearest_rank(self):
         registry = MetricsRegistry()

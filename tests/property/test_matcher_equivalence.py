@@ -9,9 +9,10 @@ differential oracle: it touches neither the interval encoding nor the join
 pipeline, so agreement here is the correctness argument for both.
 
 The query generator deliberately produces the shapes that stress the
-pipeline's fragment logic: ordered arcs (per-fragment fallback), negated
-arcs (a filter on their parent box's pool), or-groups (branch expansion before engine dispatch), DAG
-edges between existing boxes (cyclic skeletons → fallback), detached
+pipeline's fragment logic: ordered arcs (a filter on the assembled rows),
+negated arcs (a filter on their parent box's pool), or-groups (branch
+expansion before engine dispatch), DAG edges between existing boxes
+(cyclic skeletons: the closing arc filters the assembled rows), detached
 boxes (cross products), and value equi-join conditions linking detached
 fragments (hash equi-joins).
 """
@@ -190,7 +191,8 @@ def random_query(rng: random.Random) -> QueryGraph:
         graph.add_or_group(OrGroup(alternatives=tuple(branches)))
 
     # a DAG edge between existing boxes: diamonds and parallel edges make
-    # the fragment cyclic, forcing the pipeline's backtracking fallback
+    # the fragment cyclic, so the pipeline filters its assembled rows by
+    # the closing arc
     if rng.random() < 0.3 and len(boxes) >= 3:
         i, j = sorted(rng.sample(range(len(boxes)), 2))
         graph.add_edge(
@@ -251,9 +253,9 @@ def test_all_engine_configs_agree(seed):
 
 @pytest.mark.parametrize("seed", range(200, 230))
 def test_fallback_fragments_agree(seed):
-    """Shapes that force the pipeline's per-fragment fallback: an ordered
-    pair on a parent that also crosses out an arc, alongside a coverable
-    chain."""
+    """An ordered pair on a parent that also crosses out an arc (the
+    pipeline filters its rows by the order and the parent's pool by the
+    crossed arc), alongside a second, chain fragment."""
     rng = random.Random(seed)
     document = random_document(rng)
     graph = QueryGraph()
